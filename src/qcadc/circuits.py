@@ -271,6 +271,73 @@ def classical_basis_action(circuit: Circuit, now_bits: np.ndarray) -> np.ndarray
 
 
 # ---------------------------------------------------------------------------
+# Exact sums over a sparse probability block
+# ---------------------------------------------------------------------------
+
+_PAIRWISE_LEAF = 128  # numpy's pairwise-summation block size
+
+
+class ExactBlockSum:
+    """``block.sum(axis)`` of a sparse float block, bit for bit as numpy sums it dense.
+
+    The block has the given ``shape`` and nonzero terms at (``rows``,
+    ``cols``); the plan is built once and the call takes the terms' values.
+    numpy reduces axis 0 of a C-ordered block row by row, a sequential sum
+    per column.  It sums a contiguous run (a row for axis 1, the flattened
+    block for the full sum) pairwise: 8 strided accumulators per 128-element
+    leaf, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), and leaves
+    combined as a balanced binary tree.  Zero terms add exactly, so the
+    same tree over the nonzero terms alone gives the same float, one
+    ``np.add.reduceat`` per tree level since every node has at most two
+    children.  Runs shorter than 8 are summed sequentially by numpy, and
+    other lengths split differently, so both dimensions must be powers of
+    two and rows at least 8 long.
+    """
+
+    def __init__(self, rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int],
+                 axis: int | None):
+        n_rows, n_cols = shape
+        if n_cols < 8 or any(d < 1 or d & (d - 1) for d in shape):
+            raise ValueError(f"exact sums need power-of-two dimensions and rows of at "
+                             f"least 8, got shape {shape}")
+        if axis not in (0, 1, None):
+            raise ValueError(f"axis must be 0, 1 or None, got {axis!r}")
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        self._axis = axis
+        self._size = n_cols if axis == 0 else n_rows if axis == 1 else 1
+        if axis == 0:
+            self._order = np.argsort(rows, kind="stable")
+            self._keys = cols[self._order]
+            return
+        flat = rows * n_cols + cols
+        run = n_cols if axis == 1 else n_rows * n_cols
+        leaf = min(run, _PAIRWISE_LEAF)
+        self._order = np.argsort(flat, kind="stable")
+        flat = flat[self._order]
+        keys, self._keys = np.unique((flat // leaf) * 8 + flat % 8, return_inverse=True)
+        self._levels = []
+        for _ in range(3 + (run // leaf).bit_length() - 1):
+            parents = keys >> 1
+            starts = np.flatnonzero(np.diff(parents, prepend=-1))
+            if starts.size < keys.size:  # a level of lone children adds nothing
+                self._levels.append(starts)
+            keys = parents[starts]
+        self._runs = keys  # run index of each surviving tree root
+
+    def __call__(self, values: np.ndarray):
+        values = values[self._order]
+        if self._axis == 0:
+            return np.bincount(self._keys, weights=values, minlength=self._size)
+        acc = np.bincount(self._keys, weights=values)  # the strided accumulators
+        for starts in self._levels:
+            acc = np.add.reduceat(acc, starts)
+        out = np.zeros(self._size)
+        out[self._runs] = acc
+        return out if self._axis == 1 else float(out[0])
+
+
+# ---------------------------------------------------------------------------
 # Trajectory loop
 # ---------------------------------------------------------------------------
 
@@ -299,51 +366,53 @@ class QcaRunSpec:
 class QcaStepper:
     """Owns one scheme's step circuit and drives noisy trajectories on it.
 
-    The Toffoli/CNOT block of a step is a fixed basis permutation, so for
-    the phenomenological noise models the whole step collapses into one
-    scatter over the amplitudes (sampled bit flips fold into the same
-    pass).  Per-gate depolarizing noise forces gate-by-gate application.
+    The future register is all-0 between steps, so a trajectory's state is
+    an n-qubit vector psi(b) over the now register's cell bits b.  The
+    Toffoli/CNOT block maps |b>|0> to |b ^ M(b)>|M(b)>, M the classical
+    rule, so the now-register reset has outcome o = b ^ M(b) and leaves
+    psi'(M(b)) = psi(b) / sqrt(P(o)) behind, with P(o) the summed |psi(b)|^2
+    of that outcome: O(2^n) work per step.
+
+    P and its total are summed in the order numpy sums the dense
+    2^n x 2^n probability block of the 2n-qubit register (rows: upper-half
+    qubits), so outcomes and sum<Z> are bit-identical to a dense reset of
+    that register, including where an exact tie leaves the flip test to
+    float rounding.  Per-gate depolarizing noise hits the future register
+    mid-circuit, so those trajectories carry the whole 2n-qubit register
+    and apply the step gate by gate.
     """
 
     def __init__(self, scheme: str, n: int):
         self.scheme = scheme
         self.n = n
         self.circuit = build_step(scheme, n)
-        self._perms: dict[bool, np.ndarray] = {}
+        size = 1 << n
+        self._index = np.arange(size, dtype=np.int64)
+        cells = ((self._index[:, None] >> np.arange(n)) & 1).astype(np.uint8)
+        future = classical_basis_action(self.circuit, cells)[:, n:].astype(np.int64)
+        self._rule = future @ (1 << np.arange(n, dtype=np.int64))  # M(b)
+        self._outcome = self._index ^ self._rule                  # o = b ^ M(b)
+        self._weights = n - 2.0 * cells.sum(axis=1)                # sum_i <Z_i> of |b>
+        shape = (size, size)
+        # (marginal, total) for each labeling: the now register is the lower
+        # half (block columns) when now_is_lower, else the upper half (rows).
+        self._sums = {
+            True: (ExactBlockSum(self._rule, self._outcome, shape, axis=0),
+                   ExactBlockSum(self._rule, self._outcome, shape, axis=None)),
+            False: (ExactBlockSum(self._outcome, self._rule, shape, axis=1),
+                    ExactBlockSum(self._outcome, self._rule, shape, axis=None)),
+        }
 
-    def _inverse_permutation(self, regmap: LogicalRegisterMap) -> np.ndarray:
-        """inv with circuit|b> = |p(b)>, inv[p(b)] = b, for the current labeling."""
-        now_is_upper = regmap.now[0] == self.n
-        inv = self._perms.get(now_is_upper)
-        if inv is None:
-            perm = np.arange(1 << (2 * self.n), dtype=np.int64)
-            for gate in self.circuit.gates():
-                resolved = self._resolve(gate, regmap)
-                if resolved.kind == "TOFFOLI":
-                    a, b, t = resolved.qubits
-                    hit = ((perm >> a) & 1) & ((perm >> b) & 1)
-                else:
-                    c, t = resolved.qubits
-                    hit = (perm >> c) & 1
-                perm = perm ^ (hit << t)
-            inv = np.empty_like(perm)
-            inv[perm] = np.arange(perm.size, dtype=np.int64)
-            self._perms[now_is_upper] = inv
-        return inv
-
-    def initial_state(self, phi: float, regmap: LogicalRegisterMap) -> StateVector:
-        state = StateVector(2 * self.n, np.zeros(1 << (2 * self.n), dtype=np.complex128))
-        ones_index = sum(1 << q for q in regmap.now)
+    def initial_state(self, phi: float) -> StateVector:
+        """cos(phi)|0..0> + i sin(phi)|1..1> on the n now qubits."""
+        state = StateVector(self.n, np.zeros(1 << self.n, dtype=np.complex128))
         state.amps[0] = math.cos(phi)
-        state.amps[ones_index] = 1j * math.sin(phi)
+        state.amps[-1] = 1j * math.sin(phi)
         return state
 
-    def ideal_fidelity(self, state: StateVector, phi: float,
-                       regmap: LogicalRegisterMap) -> float:
-        """Overlap with the undisturbed logical state (future register all-0)."""
-        a0 = state.amps[0]
-        a1 = state.amps[sum(1 << q for q in regmap.now)]
-        return abs(math.cos(phi) * a0 - 1j * math.sin(phi) * a1)
+    def ideal_fidelity(self, state: StateVector, phi: float) -> float:
+        """Overlap with the undisturbed logical state."""
+        return abs(math.cos(phi) * state.amps[0] - 1j * math.sin(phi) * state.amps[-1])
 
     def _resolve(self, gate: Gate, regmap: LogicalRegisterMap) -> Gate:
         n = self.n
@@ -359,8 +428,17 @@ class QcaStepper:
 
     def step_with_zsum(self, state: StateVector, regmap: LogicalRegisterMap,
                        noise: NoiseModel, rng: np.random.Generator) -> float:
-        """One full step; returns sum_i <Z_i> over the post-step now register."""
-        n = self.n
+        """One full step; returns sum_i <Z_i> over the post-step now register.
+
+        ``state`` holds the n now qubits, except under depolarizing noise,
+        where it is the whole register (see ``register_state``).  ``regmap``
+        says which half of the 2n-qubit register the now qubits occupy,
+        which also fixes the summation order of the reset.
+        """
+        qubits = 2 * self.n if noise.kind == "depolarizing" else self.n
+        if state.num_qubits != qubits:
+            raise ValueError(f"{noise.kind} steps need a {qubits}-qubit state, "
+                             f"got {state.num_qubits} qubits")
         if noise.kind == "depolarizing":
             for layer in self.circuit.layers:
                 for gate in layer:
@@ -371,54 +449,44 @@ class QcaStepper:
                 raise AssertionError("statevector norm drifted past 1e-10")
             measure_reset(state, regmap.now, rng)
             return expectation_z_sum(state, regmap.future)
-        flip_mask = 0
+        amps = state.amps
         if noise.kind == "incoherent":
-            for q in regmap.now:
+            flips = 0
+            for i in range(self.n):
                 if rng.random() < noise.p:
-                    flip_mask |= 1 << q
+                    flips |= 1 << i
+            if flips:
+                amps = amps[self._index ^ flips]
         elif noise.kind == "coherent":
-            apply_phenom_coherent(state, regmap.now, noise.theta)
-        inv = self._inverse_permutation(regmap)
-        if flip_mask:
-            amps = state.amps[inv ^ flip_mask]
-        else:
-            amps = state.amps[inv]
-        # Reset the now block and read sum<Z> off the surviving future column.
-        now_is_lower = regmap.now[0] == 0
-        block = amps.reshape(1 << n, 1 << n)  # rows: upper-half bits, cols: lower-half
-        probs = block.real**2 + block.imag**2
-        total = float(probs.sum())
+            amps = apply_phenom_coherent(state, tuple(range(self.n)), noise.theta).amps
+        probs = amps.real**2 + amps.imag**2
+        marginal_sum, total_sum = self._sums[regmap.now[0] == 0]
+        total = total_sum(probs)
         if abs(total - 1.0) > 1e-10:
             raise AssertionError("statevector norm drifted past 1e-10")
-        marginal = probs.sum(axis=0) if now_is_lower else probs.sum(axis=1)
+        marginal = marginal_sum(probs)
         cum = np.cumsum(marginal)
         outcome = int(np.searchsorted(cum, rng.random() * total, side="right"))
         outcome = min(outcome, marginal.size - 1)
-        column = (block[:, outcome] if now_is_lower else block[outcome, :]) \
-            / math.sqrt(marginal[outcome])
-        new_block = np.zeros_like(block)
-        if now_is_lower:
-            new_block[:, 0] = column
-        else:
-            new_block[0, :] = column
-        state.amps = new_block.reshape(-1)
-        weights = self._column_weights()
-        return float((column.real**2 + column.imag**2) @ weights)
+        kept = np.flatnonzero(self._outcome == outcome)
+        new = np.zeros_like(amps)
+        new[self._rule[kept]] = amps[kept] / math.sqrt(marginal[outcome])
+        state.amps = new
+        return float((new.real**2 + new.imag**2) @ self._weights)
 
-    def _column_weights(self) -> np.ndarray:
-        if not hasattr(self, "_zw"):
-            idx = np.arange(1 << self.n, dtype=np.uint64)
-            w = np.full(idx.size, float(self.n))
-            for q in range(self.n):
-                w -= 2.0 * ((idx >> np.uint64(q)) & np.uint64(1)).astype(np.float64)
-            self._zw = w
-        return self._zw
+    def register_state(self, state: StateVector) -> StateVector:
+        """The 2n-qubit register with ``state`` on qubits 0..n-1, the initial now register."""
+        register = StateVector(2 * self.n, np.zeros(1 << (2 * self.n), dtype=np.complex128))
+        register.amps[:1 << self.n] = state.amps
+        return register
 
     def run_trajectory(self, noise: NoiseModel, phi: float, max_steps: int,
                        rng: np.random.Generator) -> int | None:
         """First step t with sum_i <Z_i> < 0 on the post-step now register."""
         regmap = LogicalRegisterMap.initial(self.n)
-        state = self.initial_state(phi, regmap)
+        state = self.initial_state(phi)
+        if noise.kind == "depolarizing":
+            state = self.register_state(state)
         for t in range(1, max_steps + 1):
             zsum = self.step_with_zsum(state, regmap, noise, rng)
             regmap = regmap.swapped()
@@ -444,11 +512,11 @@ def noiseless_preservation(scheme: str, n: int, phi: float, steps: int) -> tuple
     stepper = QcaStepper(scheme, n)
     rng = np.random.default_rng(0)  # reset outcomes are deterministic here
     regmap = LogicalRegisterMap.initial(n)
-    state = stepper.initial_state(phi, regmap)
+    state = stepper.initial_state(phi)
     flipped = False
     for _ in range(steps):
         zsum = stepper.step_with_zsum(state, regmap, NoiseModel("none"), rng)
         regmap = regmap.swapped()
         if zsum < 0.0:
             flipped = True
-    return stepper.ideal_fidelity(state, phi, regmap), flipped
+    return stepper.ideal_fidelity(state, phi), flipped

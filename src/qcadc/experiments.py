@@ -140,7 +140,8 @@ def _evaluate_point(config: CampaignConfig, index: int) -> CampaignRow:
             stats = ca.summarize_flip_times(times)
     except Exception as exc:  # recorded in-row; the campaign continues
         return CampaignRow(config.scheme, config.backend, config.noise, n, p, 0,
-                           config.trials, None, None, None, None, error=str(exc))
+                           config.trials, None, None, None, None,
+                           error=f"{type(exc).__name__}: {exc}")
     return CampaignRow(config.scheme, config.backend, config.noise, n, p, 0,
                        config.trials, stats.max_steps_hit, stats.mean,
                        stats.stddev, stats.stderr, histogram=stats.histogram)

@@ -183,11 +183,10 @@ def test_noiseless_preservation_unit(scheme):
 
 def test_initial_state_and_phi_validation():
     stepper = QcaStepper("q232", 4)
-    regmap = LogicalRegisterMap.initial(4)
-    state = stepper.initial_state(0.3, regmap)
+    state = stepper.initial_state(0.3)
     assert state.amps[0] == pytest.approx(math.cos(0.3))
     assert state.amps[0b1111] == pytest.approx(1j * math.sin(0.3))
-    assert expectation_z_sum(state, regmap.now) == pytest.approx(4 * math.cos(0.6))
+    assert expectation_z_sum(state, (0, 1, 2, 3)) == pytest.approx(4 * math.cos(0.6))
     with pytest.raises(ValueError):
         QcaRunSpec("q232", 4, NoiseModel("none"), phi=math.pi / 4, seed=0)
     with pytest.raises(ValueError):

@@ -85,6 +85,13 @@ def test_campaign_records_failures_in_row():
     assert rows[1].error is None
 
 
+def test_campaign_error_rows_keep_the_exception_type():
+    config = CampaignConfig("qca", "tlv", ((2, 0.1),), noise="coherent", trials=2, seed=1)
+    row = run_campaign(config)[0]
+    assert row.error == "ValueError: quantized two-line voting needs an even cell count >= 4"
+    assert json.loads(rows_to_json([row]))["rows"][0]["error"] == row.error
+
+
 def test_campaign_config_validation():
     with pytest.raises(ValueError):
         CampaignConfig("ca", "tlv", ((8, 0.2),), noise="incoherent")

@@ -1,0 +1,158 @@
+"""The n-qubit trajectory stepper: recorded flip times, exact reset sums, and a
+gate-level oracle on the full 2n-qubit register."""
+import json
+import math
+from fractions import Fraction
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qcadc.circuits import (ExactBlockSum, LogicalRegisterMap, NoiseModel, QcaStepper,
+                            build_step, trajectory_rng)
+from qcadc.experiments import _qca_flip_times
+from qcadc.qsim import (Gate, StateVector, apply_gate, apply_phenom_coherent,
+                        expectation_z_sum, measure_reset)
+
+RECORDED = json.loads((Path(__file__).parent / "data" / "qca_flip_times.json").read_text())
+
+
+@pytest.mark.parametrize("case", RECORDED,
+                         ids=[f"{c['scheme']}-{c['n']}-{c['noise']}" for c in RECORDED])
+def test_flip_times_match_recorded_arrays(case):
+    # Recorded with the 2n-qubit permutation stepper.  Several trajectories
+    # reach sum<Z> = 0 up to rounding, so a reset summed in any other order
+    # changes their flip times.
+    times = _qca_flip_times(case["scheme"], case["n"], float(Fraction(case["p"])),
+                            case["noise"], case["trials"], case["seed"], case["max_steps"])
+    assert times.tolist() == case["times"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(row_bits=st.integers(0, 7), col_bits=st.integers(3, 10),
+       density=st.sampled_from([1.0, 0.5, 0.1, 0.01, 0.0]), seed=st.integers(0, 2**32 - 1))
+def test_exact_block_sum_matches_numpy_bit_for_bit(row_bits, col_bits, density, seed):
+    rng = np.random.default_rng(seed)
+    shape = (1 << row_bits, 1 << col_bits)
+    dense = np.zeros(shape)
+    mask = rng.random(shape) < density
+    dense[mask] = rng.random(int(mask.sum())) * 10.0 ** rng.integers(-9, 3, int(mask.sum()))
+    rows, cols = np.nonzero(dense)
+    shuffle = rng.permutation(rows.size)
+    rows, cols = rows[shuffle], cols[shuffle]
+    values = dense[rows, cols]
+    total = ExactBlockSum(rows, cols, shape, axis=None)(values)
+    assert np.float64(total).tobytes() == dense.sum().tobytes()
+    for axis in (0, 1):
+        sums = ExactBlockSum(rows, cols, shape, axis=axis)(values)
+        assert sums.tobytes() == dense.sum(axis=axis).tobytes()
+
+
+def test_exact_block_sum_refuses_shapes_numpy_sums_differently():
+    for shape in ((4, 4), (8, 12), (3, 16)):
+        with pytest.raises(ValueError):
+            ExactBlockSum([0], [0], shape, axis=None)
+    with pytest.raises(ValueError):
+        ExactBlockSum([0], [0], (8, 8), axis=2)
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the step circuit applied gate by gate to the 2n-qubit register
+# ---------------------------------------------------------------------------
+
+def _physical(gate, regmap, n):
+    return Gate(gate.kind, tuple(regmap.now[q] if q < n else regmap.future[q - n]
+                                 for q in gate.qubits))
+
+
+def _oracle_step(scheme, n, register, regmap, noise, rng):
+    """Noise, gates, measure-reset; returns (pre-reset amplitudes, sum<Z>)."""
+    if noise.kind == "incoherent":
+        for q in regmap.now:
+            if rng.random() < noise.p:
+                apply_gate(register, Gate("X", (q,)))
+    elif noise.kind == "coherent":
+        apply_phenom_coherent(register, regmap.now, noise.theta)
+    for gate in build_step(scheme, n).gates():
+        apply_gate(register, _physical(gate, regmap, n))
+    pre = register.amps.copy()
+    measure_reset(register, regmap.now, rng)
+    return pre, expectation_z_sum(register, regmap.future)
+
+
+def _future_columns(amps, n, now_is_lower):
+    """columns[o][f]: amplitude with now bits o and future bits f."""
+    block = amps.reshape(1 << n, 1 << n)  # rows: upper-half qubits
+    return block.T if now_is_lower else block
+
+
+def _outcomes_leaving(pre, post, n, now_is_lower):
+    """Reset outcomes whose renormalized future state is ``post``."""
+    found = []
+    for o, column in enumerate(_future_columns(pre, n, now_is_lower)):
+        weight = np.linalg.norm(column)
+        if weight > 1e-9 and np.abs(column / weight - post).max() < 1e-12:
+            found.append(o)
+    return found
+
+
+@pytest.mark.parametrize("scheme", ["q232", "qtlv"])
+@pytest.mark.parametrize("n", [4, 6])
+@pytest.mark.parametrize("noise", [NoiseModel("none"), NoiseModel("incoherent", 0.2),
+                                   NoiseModel("coherent", 0.1)], ids=lambda m: m.kind)
+def test_step_matches_gate_level_register(scheme, n, noise):
+    stepper = QcaStepper(scheme, n)
+    size = 1 << n
+    for trial in range(3):
+        rng, oracle_rng = trajectory_rng(11, trial), trajectory_rng(11, trial)
+        phi = rng.uniform(-math.pi / 4, math.pi / 4)
+        oracle_rng.uniform(-math.pi / 4, math.pi / 4)
+        regmap = LogicalRegisterMap.initial(n)
+        state = stepper.initial_state(phi)
+        register = StateVector(2 * n, np.zeros(size * size, dtype=complex))
+        register.amps[0] = math.cos(phi)
+        register.amps[size - 1] = 1j * math.sin(phi)
+        for _ in range(25):
+            now_is_lower = regmap.now[0] == 0
+            zsum = stepper.step_with_zsum(state, regmap, noise, rng)
+            pre, oracle_zsum = _oracle_step(scheme, n, register, regmap, noise, oracle_rng)
+            post = _future_columns(register.amps, n, now_is_lower)[0]
+            assert np.abs(state.amps - post).max() < 1e-12
+            assert abs(zsum - oracle_zsum) < 1e-12
+            outcomes = _outcomes_leaving(pre, post, n, now_is_lower)
+            assert outcomes and outcomes == _outcomes_leaving(pre, state.amps, n,
+                                                              now_is_lower)
+            regmap = regmap.swapped()
+
+
+@pytest.mark.parametrize("scheme", ["q232", "qtlv"])
+def test_depolarizing_step_without_kicks_matches_noiseless_step(scheme):
+    # At p = 0 the gate-by-gate path draws only the reset, like the n-qubit path.
+    n = 6
+    stepper = QcaStepper(scheme, n)
+    rng, register_rng = np.random.default_rng(3), np.random.default_rng(3)
+    regmap = LogicalRegisterMap.initial(n)
+    state = stepper.initial_state(0.4)
+    register = stepper.register_state(state)
+    for _ in range(6):
+        zsum = stepper.step_with_zsum(state, regmap, NoiseModel("none"), rng)
+        register_zsum = stepper.step_with_zsum(register, regmap,
+                                               NoiseModel("depolarizing", 0.0), register_rng)
+        future = _future_columns(register.amps, n, regmap.now[0] == 0)[0]
+        assert np.abs(state.amps - future).max() < 1e-12
+        assert abs(zsum - register_zsum) < 1e-12
+        regmap = regmap.swapped()
+
+
+def test_step_refuses_a_state_of_the_wrong_size():
+    stepper = QcaStepper("q232", 4)
+    regmap = LogicalRegisterMap.initial(4)
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError):
+        stepper.step_with_zsum(stepper.initial_state(0.1), regmap,
+                               NoiseModel("depolarizing", 0.1), rng)
+    with pytest.raises(ValueError):
+        stepper.step_with_zsum(stepper.register_state(stepper.initial_state(0.1)), regmap,
+                               NoiseModel("coherent", 0.1), rng)
