@@ -12,16 +12,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from fractions import Fraction
 
-import numpy as np
-
 from . import ca, experiments, heisenberg, reversible, voting
-from .circuits import (NoiseModel, QcaStepper, build_step, circuit_to_text,
-                       decompose_toffoli, trajectory_rng)
+from .circuits import build_step, circuit_to_text, decompose_toffoli
 
 
 class CliError(Exception):
@@ -133,21 +129,15 @@ def _cmd_qca_run(args) -> int:
             return 0
     noise_kind = str(opts["noise"])
     p = parse_probability(str(opts["p"]))
-    noise = NoiseModel(noise_kind, p) if noise_kind != "none" else NoiseModel("none")
-    stepper = QcaStepper(scheme, n)
     trials = int(opts["trials"])
-    times = np.empty(trials, dtype=np.int64)
-    for k in range(trials):
-        rng = trajectory_rng(int(opts["seed"]), k)
-        phi = (float(opts["phi"]) if opts["phi"] is not None
-               else rng.uniform(-math.pi / 4, math.pi / 4))
-        t = stepper.run_trajectory(noise, phi, int(opts["max_steps"]), rng)
-        times[k] = -1 if t is None else t
+    phi = None if opts["phi"] is None else float(opts["phi"])
+    row_scheme = "232" if scheme == "q232" else "tlv"
+    times = experiments._qca_flip_times(row_scheme, n, p, noise_kind, trials,
+                                        int(opts["seed"]), int(opts["max_steps"]), phi)
     stats = ca.summarize_flip_times(times)
-    row = experiments.CampaignRow("232" if scheme == "q232" else "tlv", "qca",
-                                  noise_kind, n, p, 0, trials, stats.max_steps_hit,
-                                  stats.mean, stats.stddev, stats.stderr,
-                                  histogram=stats.histogram)
+    row = experiments.CampaignRow(row_scheme, "qca", noise_kind, n, p, 0, trials,
+                                  stats.max_steps_hit, stats.mean, stats.stddev,
+                                  stats.stderr, histogram=stats.histogram)
     _write_output(_stats_text([row], opts["format"]), opts["output"])
     return 0
 

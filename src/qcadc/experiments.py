@@ -12,7 +12,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -114,15 +114,19 @@ def point_seed(master_seed: int, index: int) -> int:
 
 
 def _qca_flip_times(scheme: str, n: int, p: float, noise_kind: str, trials: int,
-                    seed: int, max_steps: int) -> np.ndarray:
-    """Trajectory flip times; the logical angle is drawn per trajectory."""
+                    seed: int, max_steps: int, phi: float | None = None) -> np.ndarray:
+    """Trajectory flip times (-1 when censored).
+
+    The logical angle is ``phi`` when given, else drawn per trajectory as
+    the first value of its stream.
+    """
     stepper = QcaStepper("q232" if scheme == "232" else "qtlv", n)
     noise = NoiseModel(noise_kind, p)
     times = np.empty(trials, dtype=np.int64)
     for k in range(trials):
         rng = trajectory_rng(seed, k)
-        phi = rng.uniform(-math.pi / 4, math.pi / 4)
-        t = stepper.run_trajectory(noise, phi, max_steps, rng)
+        angle = rng.uniform(-math.pi / 4, math.pi / 4) if phi is None else phi
+        t = stepper.run_trajectory(noise, angle, max_steps, rng)
         times[k] = -1 if t is None else t
     return times
 
@@ -221,6 +225,3 @@ def rows_to_json(rows: list[CampaignRow], config: CampaignConfig | None = None) 
         }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
-
-def with_output(config: CampaignConfig, output: str | None) -> CampaignConfig:
-    return replace(config, output=output)

@@ -75,11 +75,6 @@ class StateVector:
         return np.moveaxis(full, src, range(len(qubits)))
 
 
-def fidelity(a: StateVector, b: StateVector) -> float:
-    """Global-phase-insensitive overlap |<a|b>|."""
-    return float(abs(np.vdot(a.amps, b.amps)))
-
-
 def _swap_halves(view: np.ndarray) -> None:
     tmp = view[0].copy()
     view[0] = view[1]
@@ -204,11 +199,6 @@ def apply_depolarizing_after_gate(state: StateVector, support: tuple[int, ...], 
 _zsum_weights_cache: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
 
 
-def expectation_z(state: StateVector, qubit: int) -> float:
-    v = state._axes_view((qubit,))
-    return float((np.abs(v[0]) ** 2).sum() - (np.abs(v[1]) ** 2).sum())
-
-
 def expectation_z_sum(state: StateVector, qubits: tuple[int, ...]) -> float:
     """Sum of <Z_q> over the listed qubits, in one pass over the probabilities."""
     key = (state.num_qubits, tuple(qubits))
@@ -223,36 +213,15 @@ def expectation_z_sum(state: StateVector, qubits: tuple[int, ...]) -> float:
     return float(probs @ weights)
 
 
-def measure_qubit(state: StateVector, qubit: int, rng: np.random.Generator) -> int:
-    """Projective computational-basis measurement; renormalizes in place."""
-    v = state._axes_view((qubit,))
-    p1 = float((np.abs(v[1]) ** 2).sum())
-    outcome = 1 if rng.random() < p1 else 0
-    p_out = p1 if outcome else 1.0 - p1
-    v[1 - outcome] = 0.0
-    state.amps *= 1.0 / math.sqrt(p_out)
-    return outcome
-
-
 def measure_reset(state: StateVector, qubits: tuple[int, ...], rng: np.random.Generator) -> StateVector:
-    """Measure each listed qubit and flip any 1 outcome back to |0>.
+    """Measure a contiguous qubit range and reset it to |0...0>.
 
-    A contiguous qubit range is sampled jointly in one pass (same Born
-    distribution, far fewer passes); other supports fall back to
-    qubit-by-qubit measurement.
+    The outcome is sampled jointly from the range's Born marginal in one
+    pass; the state keeps the renormalized conditional amplitudes.
     """
-    qubits = tuple(qubits)
-    lo = min(qubits)
-    if sorted(qubits) == list(range(lo, lo + len(qubits))):
-        return _measure_reset_block(state, lo, len(qubits), rng)
-    for q in qubits:
-        if measure_qubit(state, q, rng):
-            apply_gate(state, Gate("X", (q,)))
-    return state
-
-
-def _measure_reset_block(state: StateVector, lo: int, count: int,
-                         rng: np.random.Generator) -> StateVector:
+    lo, count = min(qubits), len(qubits)
+    if sorted(qubits) != list(range(lo, lo + count)):
+        raise ValueError(f"measure_reset needs a contiguous qubit range, got {tuple(qubits)}")
     hi = state.num_qubits - lo - count  # qubits above the block
     block = state.amps.reshape(1 << hi, 1 << count, 1 << lo)
     probs = (np.abs(block) ** 2).sum(axis=(0, 2))

@@ -32,6 +32,29 @@ def pauli_string_op(num_qubits: int, placement: dict[int, str]) -> np.ndarray:
     return kron_all([PAULI[placement.get(q, "0")] for q in range(num_qubits)])
 
 
+def densify(rows: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Dense matrix whose column c holds values[c] at row rows[c] and zeros elsewhere.
+
+    With values all 1 this is the permutation matrix U|c> = |rows[c]>.
+    """
+    out = np.zeros((rows.size, rows.size), dtype=complex)
+    out[rows, np.arange(rows.size)] = values
+    return out
+
+
+def dense_support(O: np.ndarray, num_qubits: int, tol: float = 1e-10) -> tuple[int, ...]:
+    """Qubits q where O differs from tr_q(O)/2 (x) 1_q, from the block structure."""
+    support = []
+    for q in range(num_qubits):
+        pre, post = 1 << (num_qubits - 1 - q), 1 << q
+        blocks = O.reshape(pre, 2, post, pre, 2, post)
+        off = max(np.abs(blocks[:, 0, :, :, 1, :]).max(), np.abs(blocks[:, 1, :, :, 0, :]).max())
+        diag = np.abs(blocks[:, 0, :, :, 0, :] - blocks[:, 1, :, :, 1, :]).max()
+        if off > tol or diag > tol:
+            support.append(q)
+    return tuple(support)
+
+
 def toffoli_matrix() -> np.ndarray:
     """Controls on qubits 2 and 1, target qubit 0."""
     U = np.eye(8, dtype=complex)

@@ -123,6 +123,23 @@ def test_qca_run_decomposed_dump(tmp_path, capsys):
     assert "TOFFOLI" not in dump.read_text()
 
 
+# Rows recorded from the qca-run trajectory loop before it was routed
+# through the campaign's; a sampled angle and a fixed --phi draw different
+# amounts from each trajectory's stream.
+@pytest.mark.parametrize("args, expected", [
+    (("--scheme", "qtlv", "--n", "6", "--p", "1/12", "--noise", "incoherent",
+      "--trials", "60", "--seed", "3", "--max-steps", "400"),
+     "tlv,qca,incoherent,6,0.08333333333,0,60,0,68.06666667,59.4251749,7.671757092\n"),
+    (("--scheme", "q232", "--n", "6", "--p", "1/8", "--noise", "coherent",
+      "--trials", "60", "--seed", "5", "--max-steps", "400", "--phi", "0.3"),
+     "232,qca,coherent,6,0.125,0,60,0,21.46666667,18.1551381,2.343818251\n"),
+])
+def test_qca_run_rows_are_pinned(capsys, args, expected):
+    code, out, _ = run_cli(capsys, "qca-run", *args)
+    assert code == 0
+    assert out == "scheme,backend,noise,n,p,delta,trials,censored,mean,stddev,stderr\n" + expected
+
+
 def test_config_file_merge_flags_win(tmp_path, capsys):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"rule": "232", "n": 8, "p": "0.3", "trials": 30,

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from qcadc import heisenberg as hz
+from oracles import dense_support, densify, pauli_string_op
 
 
 def test_q232_window_shape():
@@ -19,21 +20,29 @@ def test_qtlv_window_shape():
 
 def test_q232_window_unitary_and_commutation():
     spec = hz.q232_window()
-    U = hz.build_window_unitary(spec)
-    assert np.abs(U.T @ U - np.eye(512)).max() < 1e-12
+    perm = hz.build_window_unitary(spec)
+    assert np.array_equal(np.sort(perm), np.arange(512))
     assert hz.locals_pairwise_commute(spec)
 
 
-def test_window_too_large_rejected():
-    fat = hz.WindowSpec("q232", tuple(("now", 0, d) for d in range(13)))
-    with pytest.raises(ValueError):
-        hz.build_window_unitary(fat)
+def test_thirteen_qubit_window_builds_a_bijection():
+    # past center, now -3..3, future -2..2: five full locals on 13 qubits
+    cells = [("past", 0, 0)] + [("now", 0, d) for d in range(-3, 4)]
+    cells += [("future", 0, d) for d in range(-2, 3)]
+    spec = hz.WindowSpec("q232", tuple(cells))
+    assert spec.num_qubits == 13 and len(hz.window_locals(spec)) == 5
+    perm = hz.build_window_unitary(spec)
+    assert np.array_equal(np.sort(perm), np.arange(1 << 13))
+    # the extra cells leave the center's sigma-x expansion unchanged
+    ox = hz.conjugate_pauli(perm, spec.qubit(("now", 0, 0)), "X")
+    expansion = hz.projector_expansion(ox, 13)
+    assert expansion.term_count == 16 and expansion.residual < 1e-10
 
 
 def test_q232_basis_action_majority():
     # now = 01110 around the center writes majority 1 onto the future center
     spec = hz.q232_window()
-    perm = hz.window_permutation(spec)
+    perm = hz.build_window_unitary(spec)
     index = sum(1 << spec.qubit(("now", 0, d)) for d in (-1, 0, 1))
     image = perm[index]
     assert (image >> spec.qubit(("future", 0, 0))) & 1 == 1
@@ -48,7 +57,33 @@ def test_q232_sigma_z_invariant():
     oz = hz.conjugate_pauli(U, center, "Z")
     assert oz.support == (center,)
     signs = 1.0 - 2.0 * ((np.arange(512) >> center) & 1)
-    assert np.array_equal(oz.matrix, np.diag(signs))
+    assert np.array_equal(oz.rows, np.arange(512))
+    assert np.array_equal(oz.values, signs)
+
+
+@pytest.mark.parametrize("kind", "XYZ")
+def test_q232_conjugation_matches_dense_oracle(kind):
+    spec = hz.q232_window()
+    perm = hz.build_window_unitary(spec)
+    U = densify(perm, np.ones(perm.size))
+    for q in range(spec.num_qubits):
+        op = hz.conjugate_pauli(perm, q, kind)
+        dense = U.T @ pauli_string_op(9, {q: kind}) @ U
+        assert np.array_equal(densify(op.rows, op.values), dense)
+        assert op.support == dense_support(dense, 9)
+
+
+@pytest.mark.parametrize("kind", "XYZ")
+def test_conjugation_by_a_cyclic_shift_matches_dense_oracle(kind):
+    # window unitaries are involutions; b -> b + 1 mod 8 is not, so this
+    # separates U^dagger P U from U P U^dagger
+    perm = (np.arange(8) + 1) % 8
+    U = densify(perm, np.ones(8))
+    for q in range(3):
+        op = hz.conjugate_pauli(perm, q, kind)
+        dense = U.T @ pauli_string_op(3, {q: kind}) @ U
+        assert np.array_equal(densify(op.rows, op.values), dense)
+        assert op.support == dense_support(dense, 3)
 
 
 def test_q232_sigma_x_expansion():
@@ -66,19 +101,31 @@ def test_q232_sigma_x_expansion():
     past = spec.qubit(("past", 0, 0))
     for term in expansion.terms:
         assert center in term.flip_pattern and past in term.flip_pattern
-    # reconstruction from term matrices
-    total = sum(hz.term_matrix(t, 9) for t in expansion.terms)
-    assert np.abs(total - ox.matrix).max() < 1e-10
+    # reconstruction from term entries
+    total = np.zeros((512, 512), dtype=complex)
+    for term in expansion.terms:
+        rows, cols, values = hz.term_entries(term, 9)
+        total[rows, cols] += values
+    assert np.abs(total - densify(ox.rows, ox.values)).max() < 1e-10
 
 
 def test_expansion_flags_corrupted_operator():
     spec = hz.q232_window()
     U = hz.build_window_unitary(spec)
     ox = hz.conjugate_pauli(U, spec.qubit(("now", 0, 0)), "X")
-    corrupted = ox.matrix.astype(float).copy()
-    corrupted[3, 5] += 1e-6
-    bad = hz.SupportedOperator(corrupted, ox.support)
+    corrupted = ox.values.copy()
+    corrupted[5] += 1e-6
+    bad = hz.SupportedOperator(ox.rows, corrupted, ox.support)
     assert hz.projector_expansion(bad, 9).residual > 1e-8
+
+
+def test_expansion_residual_counts_entries_the_operator_lacks():
+    # three columns flip qubit 0 and one is empty: the single kept term
+    # (coefficient 3/4) also writes 3/4 into the empty column
+    op = hz.SupportedOperator(np.array([1, 0, 3, 1]), np.array([1.0, 1.0, 1.0, 0.0]), ())
+    expansion = hz.projector_expansion(op, 2)
+    assert [t.coefficient for t in expansion.terms] == [0.75]
+    assert expansion.residual == 0.75
 
 
 def test_sigma_z_single_term_expansion():
@@ -97,8 +144,8 @@ def test_homomorphism_spot_check():
     ox = hz.conjugate_pauli(U, center, "X")
     oy = hz.conjugate_pauli(U, center, "Y")
     oz = hz.conjugate_pauli(U, center, "Z")
-    product = ox.matrix.astype(complex) @ oy.matrix
-    assert np.abs(product - 1j * oz.matrix).max() < 1e-10
+    product = densify(ox.rows, ox.values) @ densify(oy.rows, oy.values)
+    assert np.abs(product - 1j * densify(oz.rows, oz.values)).max() < 1e-10
 
 
 def test_qtlv_expansions():
@@ -127,10 +174,13 @@ def test_qtlv_total_expansion_composes_to_64():
     outer = hz.projector_expansion(hz.conjugate_pauli(U_plus, center, "X"), 12)
     inner = hz.projector_expansion(hz.conjugate_pauli(U_minus, center, "X"), 12)
     target = hz.conjugate_pauli(U_both, center, "X")
-    composed, residual = hz.compose_expansions(outer, inner, center,
-                                               target.matrix.astype(complex))
+    composed, residual = hz.compose_expansions(outer, inner, center, target)
     assert len(composed) == 64
     assert residual < 1e-10
+    corrupted = target.values.copy()
+    corrupted[7] += 1e-6
+    bad = hz.SupportedOperator(target.rows, corrupted, target.support)
+    assert abs(hz.compose_expansions(outer, inner, center, bad)[1] - 1e-6) < 1e-12
     # the orthogonal projector decomposition collapses the shared cells
     collapsed = hz.projector_expansion(target, 12)
     assert collapsed.term_count == 16
