@@ -22,9 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qsim import (Gate, NoiseModel, StateVector, apply_depolarizing_after_gate,
-                   apply_gate, apply_phenom_coherent, expectation_z_sum,
-                   measure_reset)
+from . import qsim
+from .qsim import (Gate, NoiseModel, SparseRegister, StateVector, apply_phenom_coherent,
+                   draw_depolarizing_kick)
+# Gate-level names bound here for perfbench/tracing.py, which wraps them in this module.
+from .qsim import (apply_depolarizing_after_gate, apply_gate,  # noqa: F401
+                   expectation_z_sum, measure_reset)
 
 
 @dataclass(frozen=True)
@@ -377,9 +380,16 @@ class QcaStepper:
     2^n x 2^n probability block of the 2n-qubit register (rows: upper-half
     qubits), so outcomes and sum<Z> are bit-identical to a dense reset of
     that register, including where an exact tie leaves the flip test to
-    float rounding.  Per-gate depolarizing noise hits the future register
-    mid-circuit, so those trajectories carry the whole 2n-qubit register
-    and apply the step gate by gate.
+    float rounding.
+
+    Per-gate depolarizing noise hits the future register mid-circuit, so
+    those trajectories apply the step gate by gate on the 2n-qubit
+    register.  Every gate and kick there is a signed basis permutation and
+    the reset keeps a subset of the terms, so the register never holds more
+    than the initial state's two nonzero amplitudes: it is a
+    ``SparseRegister``, and each gate is a bit operation on its indices.
+    The reset sums at most two nonzero terms, which round the same in any
+    order, so outcomes and amplitudes are bit-identical to a dense register.
     """
 
     def __init__(self, scheme: str, n: int):
@@ -402,6 +412,18 @@ class QcaStepper:
             False: (ExactBlockSum(self._outcome, self._rule, shape, axis=1),
                     ExactBlockSum(self._outcome, self._rule, shape, axis=None)),
         }
+        # Per labeling, each gate's (control mask, target bit, physical support):
+        # a Toffoli or CNOT flips the target bit where every control bit is set.
+        self._gates = {}
+        initial = LogicalRegisterMap.initial(n)
+        for regmap in (initial, initial.swapped()):
+            physical = regmap.now + regmap.future
+            gates = []
+            for gate in self.circuit.gates():
+                support = tuple(physical[q] for q in gate.qubits)
+                *controls, target = support
+                gates.append((sum(1 << c for c in controls), 1 << target, support))
+            self._gates[regmap.now[0] == 0] = tuple(gates)
 
     def initial_state(self, phi: float) -> StateVector:
         """cos(phi)|0..0> + i sin(phi)|1..1> on the n now qubits."""
@@ -414,41 +436,28 @@ class QcaStepper:
         """Overlap with the undisturbed logical state."""
         return abs(math.cos(phi) * state.amps[0] - 1j * math.sin(phi) * state.amps[-1])
 
-    def _resolve(self, gate: Gate, regmap: LogicalRegisterMap) -> Gate:
-        n = self.n
-        qubits = tuple(regmap.now[q] if q < n else regmap.future[q - n]
-                       for q in gate.qubits)
-        return Gate(gate.kind, qubits, gate.theta)
-
     def step(self, state: StateVector, regmap: LogicalRegisterMap,
              noise: NoiseModel, rng: np.random.Generator) -> LogicalRegisterMap:
         """Noise, rule update, decouple, reset, relabel; returns the new map."""
         self.step_with_zsum(state, regmap, noise, rng)
         return regmap.swapped()
 
-    def step_with_zsum(self, state: StateVector, regmap: LogicalRegisterMap,
+    def step_with_zsum(self, state: StateVector | SparseRegister, regmap: LogicalRegisterMap,
                        noise: NoiseModel, rng: np.random.Generator) -> float:
         """One full step; returns sum_i <Z_i> over the post-step now register.
 
         ``state`` holds the n now qubits, except under depolarizing noise,
-        where it is the whole register (see ``register_state``).  ``regmap``
-        says which half of the 2n-qubit register the now qubits occupy,
-        which also fixes the summation order of the reset.
+        where it is the 2n-qubit ``SparseRegister`` (see ``run_trajectory``).
+        ``regmap`` says which half of the 2n-qubit register the now qubits
+        occupy, which also fixes the summation order of the reset.
         """
-        qubits = 2 * self.n if noise.kind == "depolarizing" else self.n
-        if state.num_qubits != qubits:
-            raise ValueError(f"{noise.kind} steps need a {qubits}-qubit state, "
-                             f"got {state.num_qubits} qubits")
-        if noise.kind == "depolarizing":
-            for layer in self.circuit.layers:
-                for gate in layer:
-                    resolved = self._resolve(gate, regmap)
-                    apply_gate(state, resolved)
-                    apply_depolarizing_after_gate(state, resolved.qubits, noise.p, rng)
-            if abs(state.norm() - 1.0) > 1e-10:
-                raise AssertionError("statevector norm drifted past 1e-10")
-            measure_reset(state, regmap.now, rng)
-            return expectation_z_sum(state, regmap.future)
+        depolarizing = noise.kind == "depolarizing"
+        expected, qubits = (SparseRegister, 2 * self.n) if depolarizing else (StateVector, self.n)
+        if not isinstance(state, expected) or state.num_qubits != qubits:
+            raise ValueError(f"{noise.kind} steps need a {qubits}-qubit {expected.__name__}, "
+                             f"got {state.num_qubits} qubits in a {type(state).__name__}")
+        if depolarizing:
+            return self._depolarizing_step(state, regmap, noise.p, rng)
         amps = state.amps
         if noise.kind == "incoherent":
             flips = 0
@@ -474,11 +483,33 @@ class QcaStepper:
         state.amps = new
         return float((new.real**2 + new.imag**2) @ self._weights)
 
-    def register_state(self, state: StateVector) -> StateVector:
-        """The 2n-qubit register with ``state`` on qubits 0..n-1, the initial now register."""
-        register = StateVector(2 * self.n, np.zeros(1 << (2 * self.n), dtype=np.complex128))
-        register.amps[:1 << self.n] = state.amps
-        return register
+    def _depolarizing_step(self, register: SparseRegister, regmap: LogicalRegisterMap,
+                           p: float, rng: np.random.Generator) -> float:
+        """The step's gates, each followed by its kick draw, then the now-register reset.
+
+        The reset applies ``measure_reset``'s numpy expressions to the kept
+        terms, so the probabilities, the outcome draw and the renormalised
+        amplitudes are bit for bit those of a dense register.
+        """
+        for cmask, tmask, support in self._gates[regmap.now[0] == 0]:
+            register.index = [b ^ tmask if b & cmask == cmask else b for b in register.index]
+            labels = draw_depolarizing_kick(len(support), p, rng)
+            if labels is not None:
+                # Looked up on the module, so a wrapper installed there sees the kick.
+                qsim.apply_pauli_string(register, support, labels)
+        if abs(register.norm() - 1.0) > 1e-10:
+            raise AssertionError("statevector norm drifted past 1e-10")
+        mask = (1 << self.n) - 1
+        index = np.array(register.index, dtype=np.int64)
+        now = (index >> regmap.now[0]) & mask
+        marginal = np.bincount(now, weights=np.abs(register.amps) ** 2, minlength=1 << self.n)
+        total = marginal.sum()
+        outcome = int(rng.choice(marginal.size, p=marginal / total))
+        keep = now == outcome
+        register.amps = register.amps[keep] / math.sqrt(marginal[outcome])
+        register.index = (index[keep] & ~(mask << regmap.now[0])).tolist()
+        future = (index[keep] >> regmap.future[0]) & mask
+        return float((np.abs(register.amps) ** 2) @ (self.n - 2.0 * np.bitwise_count(future)))
 
     def run_trajectory(self, noise: NoiseModel, phi: float, max_steps: int,
                        rng: np.random.Generator) -> int | None:
@@ -486,7 +517,7 @@ class QcaStepper:
         regmap = LogicalRegisterMap.initial(self.n)
         state = self.initial_state(phi)
         if noise.kind == "depolarizing":
-            state = self.register_state(state)
+            state = SparseRegister.embed(state, 2 * self.n)
         for t in range(1, max_steps + 1):
             zsum = self.step_with_zsum(state, regmap, noise, rng)
             regmap = regmap.swapped()

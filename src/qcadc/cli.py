@@ -120,16 +120,18 @@ def _cmd_qca_run(args) -> int:
     n = int(opts["n"])
     if n % 2:
         raise CliError("quantum runs need an even cell count")
+    trials = int(opts["trials"])
     if opts["dump_circuit"] is not None:
         circuit = build_step(scheme, n)
         if opts["decompose"]:
             circuit = decompose_toffoli(circuit)
         _write_output(circuit_to_text(circuit), opts["dump_circuit"])
-        if opts["trials"] == 0:
+        if trials == 0:
             return 0
+    if trials < 1:
+        raise CliError("need at least one trial")
     noise_kind = str(opts["noise"])
     p = parse_probability(str(opts["p"]))
-    trials = int(opts["trials"])
     phi = None if opts["phi"] is None else float(opts["phi"])
     row_scheme = "232" if scheme == "q232" else "tlv"
     times = experiments._qca_flip_times(row_scheme, n, p, noise_kind, trials,

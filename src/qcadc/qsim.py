@@ -4,6 +4,8 @@ Pure states only: noise channels are unravelled by sampling (bit flips and
 depolarizing Pauli strings) or applied as the fixed unitary they are
 (coherent X rotations).  Gates act in place through axis views of the
 amplitude tensor; qubit 0 is the least-significant bit of the basis index.
+A ``SparseRegister`` stores only the nonzero amplitudes of a register that
+sees nothing but signed basis permutations and resets.
 
 Ensemble statistics come from averaging many trajectories with independent
 RNG streams; a density-matrix simulator is deliberately out of scope (a
@@ -75,6 +77,57 @@ class StateVector:
         return np.moveaxis(full, src, range(len(qubits)))
 
 
+class SparseRegister:
+    """The nonzero amplitudes of an m-qubit register: ``amps[j]`` on basis index ``index[j]``.
+
+    It holds at most two entries.  That covers any state reached from a
+    two-term superposition by signed basis permutations (X, Y, Z, CNOT,
+    Toffoli) and projective resets, none of which adds a term, and it keeps
+    every sum over the register a sum of at most two nonzero terms, which
+    rounds the same in any order.
+    """
+
+    __slots__ = ("num_qubits", "index", "amps")
+    MAX_ENTRIES = 2
+
+    def __init__(self, num_qubits: int, index, amps):
+        index = [int(b) for b in index]
+        amps = np.asarray(amps, dtype=np.complex128)
+        if amps.shape != (len(index),):
+            raise ValueError("need one amplitude per basis index")
+        if len(index) > self.MAX_ENTRIES:
+            raise ValueError(f"a sparse register holds at most {self.MAX_ENTRIES} "
+                             f"amplitudes, got {len(index)}")
+        if len(set(index)) != len(index) or not all(0 <= b < 1 << num_qubits for b in index):
+            raise ValueError(f"basis indices must be distinct and below 2^{num_qubits}")
+        self.num_qubits = num_qubits
+        self.index = index
+        self.amps = amps
+
+    @classmethod
+    def embed(cls, state: StateVector, num_qubits: int) -> "SparseRegister":
+        """``state`` on qubits 0..state.num_qubits-1 of the register, the rest |0>."""
+        if num_qubits < state.num_qubits:
+            raise ValueError(f"cannot embed {state.num_qubits} qubits in {num_qubits}")
+        index = np.flatnonzero(state.amps)
+        return cls(num_qubits, index, state.amps[index])
+
+    def norm(self) -> float:
+        return float(np.linalg.norm(self.amps))
+
+    def apply_pauli(self, qubit: int, label: str) -> None:
+        """X, Y or Z on one qubit, with ``apply_gate``'s amplitude arithmetic."""
+        bit = 1 << qubit
+        if label != "X":
+            ones = np.array([b & bit != 0 for b in self.index], dtype=bool)
+            if label == "Y":  # |0> -> i|1>, |1> -> -i|0>
+                self.amps = np.where(ones, -1j * self.amps, 1j * self.amps)
+            else:
+                self.amps = np.where(ones, self.amps * -1.0, self.amps)
+        if label != "Z":
+            self.index = [b ^ bit for b in self.index]
+
+
 def _swap_halves(view: np.ndarray) -> None:
     tmp = view[0].copy()
     view[0] = view[1]
@@ -114,12 +167,16 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     return state
 
 
-def apply_pauli_string(state: StateVector, qubits: tuple[int, ...], labels: str) -> StateVector:
+def apply_pauli_string(state: StateVector | SparseRegister, qubits: tuple[int, ...],
+                       labels: str) -> StateVector | SparseRegister:
     """Apply a Pauli on each listed qubit; '0' or 'I' in labels means skip."""
     for q, label in zip(qubits, labels):
         if label in ("0", "I"):
             continue
-        apply_gate(state, Gate(label, (q,)))
+        if isinstance(state, SparseRegister):
+            state.apply_pauli(q, label)
+        else:
+            apply_gate(state, Gate(label, (q,)))
     return state
 
 
@@ -143,7 +200,7 @@ class NoiseModel:
     def __post_init__(self):
         if self.kind not in ("none", "incoherent", "coherent", "depolarizing"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
-        if self.kind != "none" and not 0.0 <= self.p <= 1.0:
+        if not 0.0 <= self.p <= 1.0:
             raise ValueError("noise strength must lie in [0, 1]")
 
     @property
@@ -171,6 +228,25 @@ def apply_phenom_coherent(state: StateVector, qubits: tuple[int, ...], theta: fl
 _PAULI_LABELS = "0XYZ"
 
 
+def draw_depolarizing_kick(k: int, p: float, rng: np.random.Generator) -> str | None:
+    """The Pauli string a depolarizing kick applies after a k-qubit gate, or None.
+
+    With probability p (one ``rng.random()`` draw, none at p = 0) the kick
+    is one of the 4^k - 1 non-identity strings, drawn uniformly; label j
+    acts on the gate's j-th qubit, '0' meaning identity.
+    """
+    if k not in (2, 3):
+        raise ValueError("depolarizing noise is defined on 2- or 3-qubit gate supports")
+    if p <= 0.0 or rng.random() >= p:
+        return None
+    index = int(rng.integers(1, 4**k))
+    labels = ""
+    for _ in range(k):
+        labels += _PAULI_LABELS[index & 3]
+        index >>= 2
+    return labels
+
+
 def apply_depolarizing_after_gate(state: StateVector, support: tuple[int, ...], p: float,
                                   rng: np.random.Generator) -> StateVector:
     """Depolarizing kick on a gate's support.
@@ -179,16 +255,9 @@ def apply_depolarizing_after_gate(state: StateVector, support: tuple[int, ...], 
     4^k - 1 non-identity strings; the trajectory average is the uniform
     depolarizing channel on the support.
     """
-    k = len(support)
-    if k not in (2, 3):
-        raise ValueError("depolarizing noise is defined on 2- or 3-qubit gate supports")
-    if p <= 0.0 or rng.random() >= p:
+    labels = draw_depolarizing_kick(len(support), p, rng)
+    if labels is None:
         return state
-    index = int(rng.integers(1, 4**k))
-    labels = ""
-    for _ in range(k):
-        labels += _PAULI_LABELS[index & 3]
-        index >>= 2
     return apply_pauli_string(state, support, labels)
 
 
@@ -196,19 +265,12 @@ def apply_depolarizing_after_gate(state: StateVector, support: tuple[int, ...], 
 # Expectations and measurement
 # ---------------------------------------------------------------------------
 
-_zsum_weights_cache: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
-
-
 def expectation_z_sum(state: StateVector, qubits: tuple[int, ...]) -> float:
     """Sum of <Z_q> over the listed qubits, in one pass over the probabilities."""
-    key = (state.num_qubits, tuple(qubits))
-    weights = _zsum_weights_cache.get(key)
-    if weights is None:
-        idx = np.arange(1 << state.num_qubits, dtype=np.uint64)
-        weights = np.full(idx.size, len(qubits), dtype=np.int16)
-        for q in qubits:
-            weights -= 2 * ((idx >> np.uint64(q)) & np.uint64(1)).astype(np.int16)
-        _zsum_weights_cache[key] = weights
+    idx = np.arange(1 << state.num_qubits, dtype=np.uint64)
+    weights = np.full(idx.size, len(qubits), dtype=np.int16)
+    for q in qubits:
+        weights -= 2 * ((idx >> np.uint64(q)) & np.uint64(1)).astype(np.int16)
     probs = np.abs(state.amps) ** 2
     return float(probs @ weights)
 

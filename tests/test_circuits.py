@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qcadc import ca
-from qcadc.circuits import (Circuit, LogicalRegisterMap, NoiseModel, QcaStepper,
+from qcadc.circuits import (Circuit, NoiseModel, QcaStepper,
                             build_q232_step, build_qtlv_step, build_step,
                             circuit_to_text, classical_basis_action,
                             decompose_toffoli, noiseless_preservation,
@@ -159,13 +159,12 @@ def test_statevector_decoupling_exhaustive_small():
     # after one full step from a basis input the registers factorize exactly
     n = 4
     stepper = QcaStepper("q232", n)
-    regmap = LogicalRegisterMap.initial(n)
     for s in range(2**n):
         amps = np.zeros(1 << (2 * n), dtype=complex)
         amps[s] = 1.0
         state = StateVector(2 * n, amps)
-        for gate in stepper.circuit.gates():
-            apply_gate(state, stepper._resolve(gate, regmap))
+        for gate in stepper.circuit.gates():  # canonical qubits: the initial register map
+            apply_gate(state, gate)
         nonzero = np.nonzero(np.abs(state.amps) > 1e-12)[0]
         assert nonzero.size == 1  # still a basis state: registers factorized
         bits = np.array([(s >> i) & 1 for i in range(n)], dtype=np.uint8)

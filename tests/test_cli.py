@@ -123,6 +123,21 @@ def test_qca_run_decomposed_dump(tmp_path, capsys):
     assert "TOFFOLI" not in dump.read_text()
 
 
+@pytest.mark.parametrize("noise", ["none", "incoherent", "coherent", "depolarizing"])
+def test_qca_run_refuses_p_outside_unit_interval(capsys, noise):
+    code, out, err = run_cli(capsys, "qca-run", "--scheme", "q232", "--n", "4",
+                             "--noise", noise, "--p", "1.5", "--trials", "2")
+    assert code == 1 and out == ""
+    assert "noise strength must lie in [0, 1]" in err
+
+
+def test_qca_run_refuses_zero_trials_without_a_circuit_dump(capsys):
+    code, out, err = run_cli(capsys, "qca-run", "--scheme", "q232", "--n", "4",
+                             "--noise", "none", "--trials", "0")
+    assert code == 1 and out == ""
+    assert "need at least one trial" in err
+
+
 # Rows recorded from the qca-run trajectory loop before it was routed
 # through the campaign's; a sampled angle and a fixed --phi draw different
 # amounts from each trajectory's stream.

@@ -1,5 +1,6 @@
-"""The n-qubit trajectory stepper: recorded flip times, exact reset sums, and a
-gate-level oracle on the full 2n-qubit register."""
+"""The trajectory stepper: recorded flip times, exact reset sums, and a
+gate-level oracle on the full 2n-qubit register for the n-qubit and the
+sparse depolarizing steps."""
 import json
 import math
 from fractions import Fraction
@@ -13,8 +14,8 @@ from hypothesis import strategies as st
 from qcadc.circuits import (ExactBlockSum, LogicalRegisterMap, NoiseModel, QcaStepper,
                             build_step, trajectory_rng)
 from qcadc.experiments import _qca_flip_times
-from qcadc.qsim import (Gate, StateVector, apply_gate, apply_phenom_coherent,
-                        expectation_z_sum, measure_reset)
+from qcadc.qsim import (Gate, SparseRegister, StateVector, apply_depolarizing_after_gate,
+                        apply_gate, apply_phenom_coherent, expectation_z_sum, measure_reset)
 
 RECORDED = json.loads((Path(__file__).parent / "data" / "qca_flip_times.json").read_text())
 
@@ -76,7 +77,11 @@ def _oracle_step(scheme, n, register, regmap, noise, rng):
     elif noise.kind == "coherent":
         apply_phenom_coherent(register, regmap.now, noise.theta)
     for gate in build_step(scheme, n).gates():
-        apply_gate(register, _physical(gate, regmap, n))
+        physical = _physical(gate, regmap, n)
+        apply_gate(register, physical)
+        if noise.kind == "depolarizing":
+            apply_depolarizing_after_gate(register, physical.qubits, noise.p, rng)
+    assert abs(register.norm() - 1.0) < 1e-10
     pre = register.amps.copy()
     measure_reset(register, regmap.now, rng)
     return pre, expectation_z_sum(register, regmap.future)
@@ -86,6 +91,16 @@ def _future_columns(amps, n, now_is_lower):
     """columns[o][f]: amplitude with now bits o and future bits f."""
     block = amps.reshape(1 << n, 1 << n)  # rows: upper-half qubits
     return block.T if now_is_lower else block
+
+
+def _future_state(state, n, regmap):
+    """The post-step now register as an n-qubit vector; a sparse register's now qubits are 0."""
+    if not isinstance(state, SparseRegister):
+        return state.amps
+    assert all(b >> regmap.now[0] & ((1 << n) - 1) == 0 for b in state.index)
+    amps = np.zeros(1 << n, dtype=complex)
+    amps[[b >> regmap.future[0] & ((1 << n) - 1) for b in state.index]] = state.amps
+    return amps
 
 
 def _outcomes_leaving(pre, post, n, now_is_lower):
@@ -101,7 +116,9 @@ def _outcomes_leaving(pre, post, n, now_is_lower):
 @pytest.mark.parametrize("scheme", ["q232", "qtlv"])
 @pytest.mark.parametrize("n", [4, 6])
 @pytest.mark.parametrize("noise", [NoiseModel("none"), NoiseModel("incoherent", 0.2),
-                                   NoiseModel("coherent", 0.1)], ids=lambda m: m.kind)
+                                   NoiseModel("coherent", 0.1), NoiseModel("depolarizing", 0.1),
+                                   NoiseModel("depolarizing", 1.0)],
+                         ids=lambda m: f"{m.kind}-{m.p}" if m.kind == "depolarizing" else m.kind)
 def test_step_matches_gate_level_register(scheme, n, noise):
     stepper = QcaStepper(scheme, n)
     size = 1 << n
@@ -111,6 +128,8 @@ def test_step_matches_gate_level_register(scheme, n, noise):
         oracle_rng.uniform(-math.pi / 4, math.pi / 4)
         regmap = LogicalRegisterMap.initial(n)
         state = stepper.initial_state(phi)
+        if noise.kind == "depolarizing":
+            state = SparseRegister.embed(state, 2 * n)
         register = StateVector(2 * n, np.zeros(size * size, dtype=complex))
         register.amps[0] = math.cos(phi)
         register.amps[size - 1] = 1j * math.sin(phi)
@@ -119,11 +138,16 @@ def test_step_matches_gate_level_register(scheme, n, noise):
             zsum = stepper.step_with_zsum(state, regmap, noise, rng)
             pre, oracle_zsum = _oracle_step(scheme, n, register, regmap, noise, oracle_rng)
             post = _future_columns(register.amps, n, now_is_lower)[0]
-            assert np.abs(state.amps - post).max() < 1e-12
+            future = _future_state(state, n, regmap)
+            assert np.abs(future - post).max() < 1e-12
             assert abs(zsum - oracle_zsum) < 1e-12
             outcomes = _outcomes_leaving(pre, post, n, now_is_lower)
-            assert outcomes and outcomes == _outcomes_leaving(pre, state.amps, n,
-                                                              now_is_lower)
+            assert outcomes and outcomes == _outcomes_leaving(pre, future, n, now_is_lower)
+            if noise.kind == "depolarizing":  # the same terms, bit for bit
+                nonzero = np.flatnonzero(register.amps)
+                order = np.argsort(state.index)
+                assert nonzero.tolist() == sorted(state.index)
+                assert register.amps[nonzero].tobytes() == state.amps[order].tobytes()
             regmap = regmap.swapped()
 
 
@@ -135,12 +159,12 @@ def test_depolarizing_step_without_kicks_matches_noiseless_step(scheme):
     rng, register_rng = np.random.default_rng(3), np.random.default_rng(3)
     regmap = LogicalRegisterMap.initial(n)
     state = stepper.initial_state(0.4)
-    register = stepper.register_state(state)
+    register = SparseRegister.embed(state, 2 * n)
     for _ in range(6):
         zsum = stepper.step_with_zsum(state, regmap, NoiseModel("none"), rng)
         register_zsum = stepper.step_with_zsum(register, regmap,
                                                NoiseModel("depolarizing", 0.0), register_rng)
-        future = _future_columns(register.amps, n, regmap.now[0] == 0)[0]
+        future = _future_state(register, n, regmap)
         assert np.abs(state.amps - future).max() < 1e-12
         assert abs(zsum - register_zsum) < 1e-12
         regmap = regmap.swapped()
@@ -154,5 +178,17 @@ def test_step_refuses_a_state_of_the_wrong_size():
         stepper.step_with_zsum(stepper.initial_state(0.1), regmap,
                                NoiseModel("depolarizing", 0.1), rng)
     with pytest.raises(ValueError):
-        stepper.step_with_zsum(stepper.register_state(stepper.initial_state(0.1)), regmap,
+        stepper.step_with_zsum(SparseRegister.embed(stepper.initial_state(0.1), 8), regmap,
                                NoiseModel("coherent", 0.1), rng)
+
+
+def test_sparse_register_refuses_a_third_amplitude():
+    with pytest.raises(ValueError):
+        SparseRegister(4, [0, 1, 2], [0.6, 0.6, 0.52915026])
+    with pytest.raises(ValueError):
+        SparseRegister(4, [3, 3], [0.6, 0.8])
+    with pytest.raises(ValueError):
+        SparseRegister(4, [16], [1.0])
+    state = StateVector(2, np.array([0.6, 0, 0, 0.8j]))
+    register = SparseRegister.embed(state, 4)
+    assert register.index == [0, 3] and register.amps.tolist() == [0.6, 0.8j]
