@@ -242,47 +242,44 @@ class FlipTimeStats:
 
 def _batch_flip_times(n: int, rule: RuleKind, p: float, seed: int,
                       trial_indices: np.ndarray, max_steps: int) -> np.ndarray:
-    """Flip step per trial (first step whose post-update majority is 1), -1 if censored."""
+    """Flip step per trial (first step whose post-update majority is 1), -1 if censored.
+
+    Rows of the still-running trials are compacted as trials flip, so each
+    step hashes noise for exactly those trials.
+    """
     if max_steps <= 0:
         raise ValueError("max_steps must be positive")
     trials = np.asarray(trial_indices, dtype=np.int64)
     result = np.full(trials.shape, -1, dtype=np.int64)
-    active = np.arange(trials.size)
+    active = np.arange(trials.size)  # positions in ``trials`` of the running trials
+    live = trials                    # their trial indices
 
-    is_tlv = rule == "tlv"
-    if is_tlv:
+    if rule == "tlv":
         if n % 2:
             raise ValueError("two-line voting needs an even total cell count")
         m = n // 2
-        upper = packed.zeros(trials.size, m)
-        lower = packed.zeros(trials.size, m)
+
+        def step(rows):
+            return packed.step_tlv(rows, m)
     else:
         rule_bits = np.array(rule_from_wolfram(int(rule)).outputs, dtype=np.uint8)
-        state = packed.zeros(trials.size, n)
+
+        def step(rows):
+            return packed.step_elementary(rows, n, rule_bits)
+    rows = packed.zeros(trials.size, n)
 
     need = n // 2  # strict majority means ones > n/2
     for t in range(1, max_steps + 1):
-        flips = rng.bernoulli_matrix(seed, trials[active], t, n, p)
-        if is_tlv:
-            upper ^= packed.pack_bits(flips[:, :m])
-            lower ^= packed.pack_bits(flips[:, m:])
-            upper, lower = packed.step_tlv(upper, lower, m)
-            ones = packed.popcount(upper) + packed.popcount(lower)
-        else:
-            state ^= packed.pack_bits(flips)
-            state = packed.step_elementary(state, n, rule_bits)
-            ones = packed.popcount(state)
-        flipped = ones > need
+        flips = rng.bernoulli_matrix(seed, live, t, n, p)
+        rows ^= packed.pack_bits(flips)
+        rows = step(rows)
+        flipped = packed.popcount(rows) > need
         if flipped.any():
             result[active[flipped]] = t
             keep = ~flipped
-            active = active[keep]
+            active, live, rows = active[keep], live[keep], rows[keep]
             if active.size == 0:
                 break
-            if is_tlv:
-                upper, lower = upper[keep], lower[keep]
-            else:
-                state = state[keep]
     return result
 
 

@@ -2,8 +2,13 @@
 
 A batch of configurations is a ``(trials, words)`` uint64 array, cell ``i``
 living at bit ``i % 64`` of word ``i // 64`` (little-endian within a row).
-Periodic wraparound is handled by whole-row rotations implemented with
-word shifts and carries, so lattices up to 10^4 cells stay cheap.
+A two-line-voting row holds its upper string in cells 0..m-1 and its lower
+string in cells m..2m-1, the order the noise stream numbers them in.
+
+Two-line-voting rows of at most 64 cells, which covers every lattice size
+in the paper, are stepped as one word with a handful of shifts and masks.
+Other rows use whole-row rotations built from word shifts and carries, so
+lattices up to 10^4 cells stay cheap.
 """
 from __future__ import annotations
 
@@ -21,13 +26,17 @@ def zeros(trials: int, n: int) -> np.ndarray:
 
 
 def pack_bits(bits: np.ndarray) -> np.ndarray:
-    """Pack a (trials, n) array of 0/1 values into (trials, n_words(n)) words."""
-    bits = np.ascontiguousarray(bits, dtype=np.uint8)
+    """Pack a (trials, n) array of 0/1 values into (trials, n_words(n)) words.
+
+    Rows are packed in one flat pass, after a copy into a bool array padded
+    to whole words unless n is a multiple of 64.
+    """
     trials, n = bits.shape
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    padded = np.zeros((trials, n_words(n) * 8), dtype=np.uint8)
-    padded[:, : packed.shape[1]] = packed
-    return padded.view(np.uint64)
+    if n % WORD:
+        padded = np.zeros((trials, WORD * n_words(n)), dtype=bool)
+        padded[:, :n] = bits
+        bits = padded
+    return np.packbits(bits, bitorder="little").view(np.uint64).reshape(trials, n_words(n))
 
 
 def unpack_bits(words: np.ndarray, n: int) -> np.ndarray:
@@ -85,14 +94,7 @@ def popcount(words: np.ndarray) -> np.ndarray:
 
 
 def majority3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    return (a & b) | (a & c) | (b & c)
-
-
-def step_rule232(words: np.ndarray, n: int) -> np.ndarray:
-    """One synchronous local-majority update on every row."""
-    left = rotate(words, 1, n)
-    right = rotate(words, -1, n)
-    return majority3(left, words, right)
+    return (a & b) | (c & (a | b))
 
 
 def step_elementary(words: np.ndarray, n: int, rule_bits: np.ndarray) -> np.ndarray:
@@ -101,28 +103,41 @@ def step_elementary(words: np.ndarray, n: int, rule_bits: np.ndarray) -> np.ndar
     ``rule_bits[b]`` is the output for the neighborhood whose (left, self,
     right) states read as the binary number b.
     """
-    left = rotate(words, 1, n)
-    right = rotate(words, -1, n)
+    left, right = rotate(words, 1, n), rotate(words, -1, n)
+    sides = ((~left, left), (~words, words), (~right, right))
     out = np.zeros_like(words)
-    full = np.uint64(0xFFFFFFFFFFFFFFFF)
     for b in range(8):
-        if not rule_bits[b]:
-            continue
-        l = left if (b >> 2) & 1 else left ^ full
-        c = words if (b >> 1) & 1 else words ^ full
-        r = right if b & 1 else right ^ full
-        out |= l & c & r
+        if rule_bits[b]:
+            out |= sides[0][(b >> 2) & 1] & sides[1][(b >> 1) & 1] & sides[2][b & 1]
     _mask_top(out, n)
     return out
 
 
-def step_tlv(upper: np.ndarray, lower: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+def step_tlv(words: np.ndarray, m: int) -> np.ndarray:
     """One synchronous two-line-voting update on rows of two m-cell strings.
 
+    A row holds the upper string in cells 0..m-1 and the lower in m..2m-1.
     Each upper cell i becomes the majority of upper[i-1], upper[i-2] and
     lower[i]; each lower cell i the majority of lower[i+1], lower[i+2] and
     upper[i] (indices mod m).  Both strings update from the pre-step state.
     """
+    if 2 * m <= WORD:
+        # Each string next to a copy of itself, so that every cyclic shift
+        # is one right shift: bits 0..m-1 of (x | x << m) >> s hold x
+        # rotated right by s, for 0 <= s < m.
+        mask, width = np.uint64((1 << m) - 1), np.uint64(m)
+        upper, lower = words & mask, words >> width
+        uu, ll = upper | (upper << width), lower | (lower << width)
+        new_upper = majority3(uu >> np.uint64((m - 1) % m), uu >> np.uint64((m - 2) % m), lower)
+        new_lower = majority3(ll >> np.uint64(1 % m), ll >> np.uint64(2 % m), upper)
+        return (new_upper & mask) | ((new_lower & mask) << width)
+    w = n_words(m)
+    upper = words[:, :w].copy()
+    _mask_top(upper, m)
+    lower = _shift_right(words, m)[:, :w]
     new_upper = majority3(rotate(upper, 1, m), rotate(upper, 2, m), lower)
-    new_lower = majority3(rotate(lower, -1, m), rotate(lower, -2, m), upper)
-    return new_upper, new_lower
+    new_lower = np.zeros_like(words)
+    new_lower[:, :w] = majority3(rotate(lower, -1, m), rotate(lower, -2, m), upper)
+    out = _shift_left(new_lower, m, 2 * m)
+    out[:, :w] |= new_upper
+    return out

@@ -9,19 +9,23 @@ from __future__ import annotations
 
 import numpy as np
 
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_GOLDEN = 0x9E3779B97F4A7C15
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
-
-
 _MASK = 0xFFFFFFFFFFFFFFFF
 
+# Words hashed per pass: small enough that a chunk and its scratch copy stay
+# in cache, large enough that per-call overhead is paid rarely.
+CHUNK_WORDS = 1 << 15
 
-def _mix(x: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer on uint64 arrays; wraps mod 2^64."""
-    x = (x ^ (x >> np.uint64(30))) * _M1
-    x = (x ^ (x >> np.uint64(27))) * _M2
-    return x ^ (x >> np.uint64(31))
+
+def _mix(x: np.ndarray, tmp: np.ndarray) -> None:
+    """splitmix64 finalizer on a uint64 array, in place; ``tmp`` is scratch of x's shape."""
+    for shift, multiplier in ((30, _M1), (27, _M2), (31, None)):
+        np.right_shift(x, np.uint64(shift), out=tmp)
+        x ^= tmp
+        if multiplier is not None:
+            x *= multiplier
 
 
 def mix64(x: int) -> int:
@@ -37,24 +41,43 @@ def derive_seed(seed: int, stream: int) -> int:
     return mix64((seed & _MASK) + (stream + 1) * 0x9E3779B97F4A7C15)
 
 
-def uniform_words(seed: int, trials: np.ndarray, step: int, cells: np.ndarray) -> np.ndarray:
-    """64-bit hash words for every (trial, cell) pair at a given step.
-
-    ``trials`` and ``cells`` are 1-D integer arrays; the result has shape
-    ``(len(trials), len(cells))``.
-    """
-    key = np.uint64(mix64((seed & _MASK) + 0x9E3779B97F4A7C15))
-    h = _mix(key + trials.astype(np.uint64)[:, None] + _GOLDEN)
-    h = _mix(h + np.uint64((step & _MASK)) + _GOLDEN)
-    return _mix(h + cells.astype(np.uint64)[None, :] + _GOLDEN)
-
-
 def bernoulli_matrix(seed: int, trials: np.ndarray, step: int, n_cells: int, p: float) -> np.ndarray:
-    """Boolean matrix of independent Bernoulli(p) draws, shape (len(trials), n_cells)."""
+    """Boolean matrix of independent Bernoulli(p) draws, shape (len(trials), n_cells).
+
+    Entry (i, c) is ``word < p * 2^64`` for the 64-bit hash word
+    mix(mix(mix(key + trial_i + G) + step + G) + c + G), where key =
+    mix64(seed + G) and G is the golden-ratio constant.  The (trial, cell)
+    words are hashed in place, CHUNK_WORDS at a time.
+    """
+    shape = (len(trials), n_cells)
     if p <= 0.0:
-        return np.zeros((len(trials), n_cells), dtype=bool)
+        return np.zeros(shape, dtype=bool)
     if p >= 1.0:
-        return np.ones((len(trials), n_cells), dtype=bool)
+        return np.ones(shape, dtype=bool)
     threshold = np.uint64(int(p * 2.0**64))
-    words = uniform_words(seed, trials, step, np.arange(n_cells))
-    return words < threshold
+    key = mix64((seed & _MASK) + _GOLDEN)
+    h = np.asarray(trials).astype(np.uint64)
+    tmp = np.empty_like(h)
+    h += np.uint64((key + _GOLDEN) & _MASK)
+    _mix(h, tmp)
+    h += np.uint64(((step & _MASK) + _GOLDEN) & _MASK)
+    _mix(h, tmp)
+    cells = np.arange(n_cells, dtype=np.uint64)
+    cells += np.uint64(_GOLDEN)
+
+    out = np.empty(shape, dtype=bool)
+    if out.size == 0:
+        return out
+    cols = min(n_cells, CHUNK_WORDS)
+    rows = min(shape[0], max(1, CHUNK_WORDS // n_cells))
+    words = np.empty((rows, cols), dtype=np.uint64)
+    tmp = np.empty_like(words)
+    for r0 in range(0, shape[0], rows):
+        r1 = min(r0 + rows, shape[0])
+        for c0 in range(0, n_cells, cols):
+            c1 = min(c0 + cols, n_cells)
+            w, s = words[: r1 - r0, : c1 - c0], tmp[: r1 - r0, : c1 - c0]
+            np.add(h[r0:r1, None], cells[None, c0:c1], out=w)
+            _mix(w, s)
+            np.less(w, threshold, out=out[r0:r1, c0:c1])
+    return out

@@ -138,3 +138,33 @@ def rotate_int(value: int, k: int, n: int) -> int:
     k %= n
     mask = (1 << n) - 1
     return ((value << k) | (value >> (n - k))) & mask if k else value & mask
+
+
+_GOLDEN = 0x9E3779B97F4A7C15
+_MASK = 0xFFFFFFFFFFFFFFFF
+
+
+def _splitmix(x):
+    """splitmix64 finalizer, out of place, on a uint64 array or a Python int."""
+    if isinstance(x, int):
+        x &= _MASK
+        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
+        return x ^ (x >> 31)
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
+
+
+def uniform_words(seed: int, trials: np.ndarray, step: int, cells: np.ndarray) -> np.ndarray:
+    """The classical noise stream's 64-bit hash words, one (trials, cells) array at once.
+
+    Word (i, c) is mix(mix(mix(key + trial_i + G) + step + G) + c + G) with
+    key = mix(seed + G); a cell flips at probability p when its word is
+    below p * 2^64.
+    """
+    key = np.uint64(_splitmix((seed & _MASK) + _GOLDEN))
+    golden = np.uint64(_GOLDEN)
+    h = _splitmix(key + trials.astype(np.uint64)[:, None] + golden)
+    h = _splitmix(h + np.uint64(step & _MASK) + golden)
+    return _splitmix(h + cells.astype(np.uint64)[None, :] + golden)

@@ -1,11 +1,15 @@
 """Classical engine: rules, steps, noise, flip times, islands, erosion."""
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qcadc import ca, packed
+
+RECORDED = json.loads((Path(__file__).parent / "data" / "ca_flip_times.json").read_text())
 
 
 def test_rule_from_wolfram_30():
@@ -128,6 +132,37 @@ def test_flip_time_trial_matches_batch():
                                     max_steps=10_000)
         batch = ca._batch_flip_times(10, "tlv", 0.2, 21, np.arange(20), 10_000)
         assert single == batch[trial]
+
+
+@pytest.mark.parametrize("case", RECORDED, ids=[f"{c['rule']}-{c['n']}" for c in RECORDED])
+def test_flip_times_match_recorded_arrays(case):
+    # Recorded with the multi-word kernels and unchunked noise hashing;
+    # n = 64/65/66 straddle the one-word kernels' limit.
+    rule = case["rule"] if case["rule"] == "tlv" else int(case["rule"])
+    times = ca._batch_flip_times(case["n"], rule, float(Fraction(case["p"])), case["seed"],
+                                 np.arange(case["trials"]), case["max_steps"])
+    assert times.tolist() == case["times"]
+
+
+def _orbit_flip_time(rule, n, p, seed, trial, max_steps):
+    """First step whose post-update state has a strict majority of 1s, from the
+    unpacked noisy orbit; -1 if none within max_steps."""
+    orbit = ca.noisy_orbit(rule, n, p, max_steps, seed=seed, trial_index=trial)
+    for t, state in enumerate(orbit):
+        if t and 2 * state.ones_count() > n:
+            return t
+    return -1
+
+
+@pytest.mark.parametrize("p", [0.0, 1 / 16, 1 / 3, 1.0])
+@pytest.mark.parametrize("rule, n", [*(("tlv", n) for n in (2, 4, 62, 64, 66, 130)),
+                                     *((code, n) for code in (232, 184)
+                                       for n in (3, 63, 64, 65, 129))])
+def test_batch_flip_times_match_the_unpacked_orbit(rule, n, p):
+    trials, max_steps, seed = 6, 40, 1000 + n
+    batch = ca._batch_flip_times(n, rule, p, seed, np.arange(trials), max_steps)
+    oracle = [_orbit_flip_time(rule, n, p, seed, trial, max_steps) for trial in range(trials)]
+    assert batch.tolist() == oracle
 
 
 def test_flip_time_stats_invariants():

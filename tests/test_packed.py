@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcadc import ca, packed, rng
-from oracles import rotate_int
+from oracles import rotate_int, uniform_words
 
 
 def _random_rows(trials, n, seed):
@@ -54,9 +54,9 @@ def test_packed_elementary_step_matches_reference(code, n):
 def test_packed_tlv_step_matches_reference(m):
     uppers = _random_rows(6, m, m)
     lowers = _random_rows(6, m, m + 1)
-    new_u, new_l = packed.step_tlv(packed.pack_bits(uppers), packed.pack_bits(lowers), m)
-    got_u = packed.unpack_bits(new_u, m)
-    got_l = packed.unpack_bits(new_l, m)
+    stepped = packed.step_tlv(packed.pack_bits(np.hstack([uppers, lowers])), m)
+    got = packed.unpack_bits(stepped, 2 * m)
+    got_u, got_l = got[:, :m], got[:, m:]
     for i in range(uppers.shape[0]):
         cfg = ca.TlvConfig(ca.BitConfig(uppers[i]), ca.BitConfig(lowers[i]))
         nxt = ca.step_tlv(cfg)
@@ -75,10 +75,27 @@ def test_bernoulli_matrix_deterministic_and_batch_independent():
     assert not np.array_equal(full, other_step)
 
 
+@pytest.mark.parametrize("seed, step, trials, n_cells", [
+    (0, 0, 3, 5),                                         # one chunk
+    (2**64 - 1, 2**64 - 1, 300, 700),                     # rows across several chunks
+    (2**63 + 12345, 2**64 - 2, 2, rng.CHUNK_WORDS + 17),  # a row wider than a chunk
+])
+def test_bernoulli_matrix_equals_the_unchunked_hash(seed, step, trials, n_cells):
+    indices = np.arange(trials, dtype=np.int64) * 7919 + 3
+    for p in (1 / 16, 0.5, 0.999):
+        got = rng.bernoulli_matrix(seed, indices, step, n_cells, p)
+        expect = uniform_words(seed, indices, step, np.arange(n_cells)) < np.uint64(int(p * 2.0**64))
+        assert got.dtype == bool and got.shape == (trials, n_cells)
+        assert np.array_equal(got, expect)
+
+
 def test_bernoulli_matrix_edge_probabilities():
     trials = np.arange(4)
     assert not rng.bernoulli_matrix(1, trials, 0, 50, 0.0).any()
     assert rng.bernoulli_matrix(1, trials, 0, 50, 1.0).all()
+    assert not rng.bernoulli_matrix(1, trials, 0, 50, -0.5).any()
+    assert rng.bernoulli_matrix(1, trials, 0, 50, 1.5).all()
+    assert rng.bernoulli_matrix(1, trials[:0], 3, 50, 0.5).shape == (0, 50)
 
 
 def test_bernoulli_count_within_binomial_bounds():

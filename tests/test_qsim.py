@@ -1,6 +1,8 @@
 """Statevector simulator: gates, channels vs exact density-matrix oracle,
 measurement-based reset."""
 import math
+import zlib
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -193,31 +195,31 @@ def test_depolarizing_p_zero_is_identity():
 
 
 def test_depolarizing_sampling_is_uniform():
-    # conditioned on a kick, the 15 two-qubit Pauli strings are uniform;
-    # a generic probe state makes every string's action distinguishable
+    # conditioned on a kick, the 15 non-identity two-qubit Pauli strings are uniform
     rng = np.random.default_rng(123)
-    probe = np.array([0.5 + 0.1j, -0.25 + 0.45j, 0.35 - 0.2j, 0.15 + 0.5j])
-    probe /= np.linalg.norm(probe)
-    references = []
-    for index in range(16):
-        ref = StateVector(2, probe.astype(complex))
-        labels = "0XYZ"[index & 3] + "0XYZ"[(index >> 2) & 3]
-        qsim.apply_pauli_string(ref, (0, 1), labels)
-        references.append(ref.amps)
-    counts = np.zeros(16, dtype=int)
     runs = 100_000
-    for _ in range(runs):
-        state = StateVector(2, probe.astype(complex))
-        qsim.apply_depolarizing_after_gate(state, (0, 1), 0.9, rng)
-        for index, ref in enumerate(references):
-            if np.allclose(ref, state.amps, atol=1e-12):
-                counts[index] += 1
-                break
-    assert counts.sum() == runs  # every trajectory matched exactly one string
-    kicked = counts[1:]
+    counts = Counter(qsim.draw_depolarizing_kick(2, 0.9, rng) for _ in range(runs))
+    strings = [a + b for a in "0XYZ" for b in "0XYZ"][1:]
+    assert set(counts) <= {None, *strings}
+    assert abs(counts[None] - 0.1 * runs) < 5 * math.sqrt(runs * 0.1 * 0.9)
+    kicked = np.array([counts[label] for label in strings])
     expected = kicked.sum() / 15
     sigma = math.sqrt(expected * (1 - 1 / 15))
     assert (np.abs(kicked - expected) < 5 * sigma).all()
+
+
+def test_depolarizing_kick_applies_the_drawn_string():
+    # a generic probe state makes every string's action distinguishable
+    probe = np.array([0.5 + 0.1j, -0.25 + 0.45j, 0.35 - 0.2j, 0.15 + 0.5j])
+    probe /= np.linalg.norm(probe)
+    draws, kicks = np.random.default_rng(7), np.random.default_rng(7)
+    for _ in range(200):
+        labels = qsim.draw_depolarizing_kick(2, 0.9, draws)
+        state = qsim.apply_depolarizing_after_gate(StateVector(2, probe.copy()), (0, 1), 0.9, kicks)
+        expect = StateVector(2, probe.copy())
+        if labels is not None:
+            qsim.apply_pauli_string(expect, (0, 1), labels)
+        assert np.array_equal(state.amps, expect.amps)
 
 
 @pytest.mark.parametrize("p", [0.05, 0.2])
@@ -233,7 +235,7 @@ def test_depolarizing_trajectories_match_exact_channel_toffoli(p):
 def _check_depolarizing(kind, qubits, start, p, runs):
     """Trajectory average of Pauli expectations vs the exact channel."""
     num_qubits = len(qubits)
-    rng = np.random.default_rng(hash((kind, p)) % 2**32)
+    rng = np.random.default_rng(zlib.crc32(f"{kind}-{p}".encode()))
     observables = {"Z0": {0: "Z"}, "Z_top": {num_qubits - 1: "Z"},
                    "X0": {0: "X"}, "ZZ": {0: "Z", 1: "Z"}}
     ops = {name: pauli_string_op(num_qubits, placement)
