@@ -21,6 +21,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+# Bound at import: numpy loads numpy.random lazily, and the first trajectory
+# should not pay for it.
+from numpy.random import SeedSequence, default_rng
 
 from . import qsim
 from .qsim import (Gate, NoiseModel, SparseRegister, StateVector, apply_phenom_coherent,
@@ -252,25 +255,17 @@ def circuit_to_text(circuit: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
-def classical_basis_action(circuit: Circuit, now_bits: np.ndarray) -> np.ndarray:
-    """Propagate classical basis states through a Toffoli/CNOT circuit.
+def basis_action(indices: np.ndarray, gates) -> np.ndarray:
+    """Image of each int64 basis index under a sequence of Toffoli/CNOT gates.
 
-    ``now_bits`` has shape (batch, n); the future register starts all-0.
-    Returns the (batch, 2n) register bits after the full step circuit.
+    Each gate is a qubit tuple ``(controls..., target)``: it flips the
+    target bit of every index whose control bits are all set.
     """
-    n = circuit.n_cells
-    bits = np.zeros((now_bits.shape[0], 2 * n), dtype=np.uint8)
-    bits[:, :n] = now_bits
-    for gate in circuit.gates():
-        if gate.kind == "TOFFOLI":
-            c1, c2, t = gate.qubits
-            bits[:, t] ^= bits[:, c1] & bits[:, c2]
-        elif gate.kind == "CNOT":
-            c, t = gate.qubits
-            bits[:, t] ^= bits[:, c]
-        else:
-            raise ValueError(f"{gate.kind} has no classical basis action")
-    return bits
+    out = np.array(indices, dtype=np.int64)
+    for *controls, target in gates:
+        cmask = sum(1 << c for c in controls)
+        np.bitwise_xor(out, 1 << target, out=out, where=(out & cmask) == cmask)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -398,11 +393,11 @@ class QcaStepper:
         self.circuit = build_step(scheme, n)
         size = 1 << n
         self._index = np.arange(size, dtype=np.int64)
-        cells = ((self._index[:, None] >> np.arange(n)) & 1).astype(np.uint8)
-        future = classical_basis_action(self.circuit, cells)[:, n:].astype(np.int64)
-        self._rule = future @ (1 << np.arange(n, dtype=np.int64))  # M(b)
-        self._outcome = self._index ^ self._rule                  # o = b ^ M(b)
-        self._weights = n - 2.0 * cells.sum(axis=1)                # sum_i <Z_i> of |b>
+        # |b>|0> -> |b ^ M(b)>|M(b)>, the now register in the low n bits.
+        image = basis_action(self._index, (g.qubits for g in self.circuit.gates()))
+        self._rule = image >> n                                      # M(b)
+        self._outcome = image & (size - 1)                           # o = b ^ M(b)
+        self._weights = n - 2.0 * np.bitwise_count(self._index)     # sum_i <Z_i> of |b>
         shape = (size, size)
         # (marginal, total) for each labeling: the now register is the lower
         # half (block columns) when now_is_lower, else the upper half (rows).
@@ -435,12 +430,6 @@ class QcaStepper:
     def ideal_fidelity(self, state: StateVector, phi: float) -> float:
         """Overlap with the undisturbed logical state."""
         return abs(math.cos(phi) * state.amps[0] - 1j * math.sin(phi) * state.amps[-1])
-
-    def step(self, state: StateVector, regmap: LogicalRegisterMap,
-             noise: NoiseModel, rng: np.random.Generator) -> LogicalRegisterMap:
-        """Noise, rule update, decouple, reset, relabel; returns the new map."""
-        self.step_with_zsum(state, regmap, noise, rng)
-        return regmap.swapped()
 
     def step_with_zsum(self, state: StateVector | SparseRegister, regmap: LogicalRegisterMap,
                        noise: NoiseModel, rng: np.random.Generator) -> float:
@@ -527,8 +516,7 @@ class QcaStepper:
 
 
 def trajectory_rng(seed: int, trial_index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed,
-                                                        spawn_key=(trial_index,)))
+    return default_rng(SeedSequence(entropy=seed, spawn_key=(trial_index,)))
 
 
 def run_qca_trajectory(spec: QcaRunSpec) -> int | None:
@@ -541,7 +529,7 @@ def run_qca_trajectory(spec: QcaRunSpec) -> int | None:
 def noiseless_preservation(scheme: str, n: int, phi: float, steps: int) -> tuple[float, bool]:
     """(final logical fidelity, whether a flip was ever signalled) without noise."""
     stepper = QcaStepper(scheme, n)
-    rng = np.random.default_rng(0)  # reset outcomes are deterministic here
+    rng = default_rng(0)  # reset outcomes are deterministic here
     regmap = LogicalRegisterMap.initial(n)
     state = stepper.initial_state(phi)
     flipped = False

@@ -101,10 +101,7 @@ def _cmd_flip_time(args) -> int:
     stats = ca.flip_time_stats(n, rule, p, int(opts["trials"]), int(opts["seed"]),
                                int(opts["max_steps"]))
     scheme = "tlv" if rule == "tlv" else str(rule)
-    row = experiments.CampaignRow(scheme, "ca", "bitflip", n, p, 0,
-                                  int(opts["trials"]), stats.max_steps_hit,
-                                  stats.mean, stats.stddev, stats.stderr,
-                                  histogram=stats.histogram)
+    row = experiments.CampaignRow.from_stats(scheme, "ca", "bitflip", n, p, stats)
     _write_output(_stats_text([row], opts["format"]), opts["output"])
     return 0
 
@@ -137,9 +134,7 @@ def _cmd_qca_run(args) -> int:
     times = experiments._qca_flip_times(row_scheme, n, p, noise_kind, trials,
                                         int(opts["seed"]), int(opts["max_steps"]), phi)
     stats = ca.summarize_flip_times(times)
-    row = experiments.CampaignRow(row_scheme, "qca", noise_kind, n, p, 0, trials,
-                                  stats.max_steps_hit, stats.mean, stats.stddev,
-                                  stats.stderr, histogram=stats.histogram)
+    row = experiments.CampaignRow.from_stats(row_scheme, "qca", noise_kind, n, p, stats)
     _write_output(_stats_text([row], opts["format"]), opts["output"])
     return 0
 

@@ -107,6 +107,13 @@ class CampaignRow:
     histogram: dict[int, int] = field(default_factory=dict, repr=False)
     error: str | None = None
 
+    @classmethod
+    def from_stats(cls, scheme: str, backend: str, noise: str, n: int, p: float,
+                   stats: ca.FlipTimeStats) -> "CampaignRow":
+        """The row of one grid point (no readout delay) from its flip-time statistics."""
+        return cls(scheme, backend, noise, n, p, 0, stats.trials, stats.max_steps_hit,
+                   stats.mean, stats.stddev, stats.stderr, histogram=stats.histogram)
+
 
 def point_seed(master_seed: int, index: int) -> int:
     """Stream seed for one grid point, independent of evaluation order."""
@@ -146,9 +153,7 @@ def _evaluate_point(config: CampaignConfig, index: int) -> CampaignRow:
         return CampaignRow(config.scheme, config.backend, config.noise, n, p, 0,
                            config.trials, None, None, None, None,
                            error=f"{type(exc).__name__}: {exc}")
-    return CampaignRow(config.scheme, config.backend, config.noise, n, p, 0,
-                       config.trials, stats.max_steps_hit, stats.mean,
-                       stats.stddev, stats.stderr, histogram=stats.histogram)
+    return CampaignRow.from_stats(config.scheme, config.backend, config.noise, n, p, stats)
 
 
 def default_workers() -> int:

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .circuits import basis_action
+
 Cell = tuple[str, int, int]  # (slice, string j, site offset); j = 0 for the single-string scheme
 
 SUPPORT_TOL = 1e-10
@@ -61,14 +63,6 @@ def qtlv_window() -> WindowSpec:
     return WindowSpec("qtlv", tuple(cells))
 
 
-def window_for(scheme: str) -> WindowSpec:
-    if scheme == "q232":
-        return q232_window()
-    if scheme == "qtlv":
-        return qtlv_window()
-    raise ValueError(f"unknown scheme {scheme!r}")
-
-
 # ---------------------------------------------------------------------------
 # Local unitaries restricted to the window
 # ---------------------------------------------------------------------------
@@ -85,7 +79,11 @@ def _toffoli_controls(scheme: str, j: int, k: int) -> list[Cell]:
 
 
 def window_locals(spec: WindowSpec, strings: tuple[int, ...] = (1, -1)) -> list[list[tuple]]:
-    """Per-site local gate lists: [("TOFFOLI", c1, c2, t), ("CNOT", c, t)] on window qubits."""
+    """Per-site local gate lists of window-qubit tuples ``(controls..., target)``.
+
+    A site's list holds its three Toffolis and, when the past cell is in
+    the window, the decoupling CNOT (now cell controls the past cell).
+    """
     if spec.scheme == "q232":
         strings = (0,)
     locals_: list[list[tuple]] = []
@@ -98,34 +96,18 @@ def window_locals(spec: WindowSpec, strings: tuple[int, ...] = (1, -1)) -> list[
             continue
         t = spec.qubit(cell)
         a, b, c = (spec.qubit(ctrl) for ctrl in controls)
-        gates = [("TOFFOLI", a, c, t), ("TOFFOLI", a, b, t), ("TOFFOLI", b, c, t)]
+        gates = [(a, c, t), (a, b, t), (b, c, t)]
         past = ("past", j, k)
         if past in spec and ("now", j, k) in spec:
-            gates.append(("CNOT", spec.qubit(("now", j, k)), spec.qubit(past)))
+            gates.append((spec.qubit(("now", j, k)), spec.qubit(past)))
         locals_.append(gates)
     return locals_
 
 
-def _apply_gates_to_indices(indices: np.ndarray, gates: list[tuple]) -> np.ndarray:
-    """Image of each basis index under a sequence of Toffoli/CNOT gates."""
-    out = indices.copy()
-    for gate in gates:
-        if gate[0] == "TOFFOLI":
-            _, a, b, t = gate
-            hit = ((out >> a) & 1) & ((out >> b) & 1)
-        else:
-            _, c, t = gate
-            hit = (out >> c) & 1
-        out ^= hit << t
-    return out
-
-
 def build_window_unitary(spec: WindowSpec, strings: tuple[int, ...] = (1, -1)) -> np.ndarray:
     """perm with U|b> = |perm[b]> for the product of all window locals."""
-    perm = np.arange(1 << spec.num_qubits, dtype=np.int64)
-    for gates in window_locals(spec, strings):
-        perm = _apply_gates_to_indices(perm, gates)
-    return perm
+    gates = [gate for local in window_locals(spec, strings) for gate in local]
+    return basis_action(np.arange(1 << spec.num_qubits), gates)
 
 
 def _is_bijection(perm: np.ndarray) -> bool:
@@ -135,11 +117,11 @@ def _is_bijection(perm: np.ndarray) -> bool:
 def locals_pairwise_commute(spec: WindowSpec, strings: tuple[int, ...] = (1, -1)) -> bool:
     """Exact commutation of every pair of local unitaries on the window."""
     locs = window_locals(spec, strings)
-    indices = np.arange(1 << spec.num_qubits, dtype=np.int64)
+    indices = np.arange(1 << spec.num_qubits)
     for i in range(len(locs)):
         for j in range(i + 1, len(locs)):
-            ab = _apply_gates_to_indices(_apply_gates_to_indices(indices, locs[i]), locs[j])
-            ba = _apply_gates_to_indices(_apply_gates_to_indices(indices, locs[j]), locs[i])
+            ab = basis_action(indices, locs[i] + locs[j])
+            ba = basis_action(indices, locs[j] + locs[i])
             if not np.array_equal(ab, ba):
                 return False
     return True
@@ -232,7 +214,7 @@ def _single_pauli_string(rows: np.ndarray, values: np.ndarray,
     """Match against c * (product of sigma-z / sigma-x), e.g. an invariant sigma-z."""
     idx = np.arange(rows.size)
     masks = rows ^ idx
-    if np.unique(masks).size != 1:
+    if (masks != masks[0]).any():
         return None
     mask = int(masks[0])
     flips = tuple(q for q in range(num_qubits) if (mask >> q) & 1)
@@ -295,7 +277,7 @@ def projector_expansion(op: SupportedOperator, num_qubits: int) -> Expansion:
     # Each entry against its own term, then every other kept term of the
     # column's block, which writes at a position the operator leaves zero.
     residual = float(np.abs(op.values - kept[block, mask]).max())
-    for m in np.unique(np.nonzero(kept)[1]):
+    for m in np.flatnonzero(kept.any(axis=0)):
         stray = np.where(mask == m, 0.0, kept[block, m])
         residual = max(residual, float(np.abs(stray).max()))
     return Expansion(tuple(terms), residual)

@@ -70,8 +70,13 @@ def bernoulli_matrix(seed: int, trials: np.ndarray, step: int, n_cells: int, p: 
         return out
     cols = min(n_cells, CHUNK_WORDS)
     rows = min(shape[0], max(1, CHUNK_WORDS // n_cells))
-    words = np.empty((rows, cols), dtype=np.uint64)
-    tmp = np.empty_like(words)
+    # Words and scratch share one allocation.  Two equal ~240 KiB buffers
+    # (1,500 trials of 20 cells) left glibc's heap just past its trim
+    # threshold, so their pages went back to the system and were faulted in
+    # again on every call (97k minor faults, ~0.16 s of system time in a TLV
+    # n=20 campaign).  Freeing one buffer of twice the size raises glibc's
+    # thresholds past every later chunk.
+    words, tmp = np.empty((2, rows, cols), dtype=np.uint64)
     for r0 in range(0, shape[0], rows):
         r1 = min(r0 + rows, shape[0])
         for c0 in range(0, n_cells, cols):

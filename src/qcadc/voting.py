@@ -7,8 +7,8 @@ the per-cell flip probability after t steps, the logical flip probability
 per update (even cell counts resolve ties to a flip with probability 1/2),
 and the geometric-distribution mean flip time 1/P.
 
-All three work with exact Fractions as well as floats; large lattices take
-a log-space path to stay overflow-safe.
+All three work with exact Fractions as well as floats; float tails are
+summed in log space, so large lattices stay overflow-safe.
 """
 from __future__ import annotations
 
@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-
-from scipy import stats
 
 
 @dataclass(frozen=True)
@@ -59,8 +57,9 @@ def logical_flip_prob(n: int, t: int, p):
     """Probability that the update after t noise steps reads out the wrong majority.
 
     Binomial tail P[X > n/2] for X ~ Bin(n, p(t)), plus half the tie mass
-    for even n.  Exact for Fraction p; log-space floats otherwise (safe up
-    to n ~ 10^3 and beyond).
+    for even n.  Exact for Fraction p; otherwise a ``math.fsum`` of
+    binomial terms evaluated in log space (overflow-safe for n ~ 10^3 and
+    beyond), with p(t) in {0, 1} returned exactly.
     """
     if n < 1:
         raise ValueError("need at least one cell")
@@ -72,17 +71,19 @@ def logical_flip_prob(n: int, t: int, p):
             tail += Fraction(math.comb(n, n // 2), 2) * (pt * (1 - pt)) ** (n // 2)
         return tail
     pt = float(pt)
-    tail = float(stats.binom.sf(n // 2, n, pt))
+    if pt in (0.0, 1.0):
+        return pt  # no cell flips, or every cell does: the majority is certain
+    log_p, log_q, log_n = math.log(pt), math.log1p(-pt), math.lgamma(n + 1)
+
+    def term(j: int) -> float:
+        """P[X = j]."""
+        return math.exp(log_n - math.lgamma(j + 1) - math.lgamma(n - j + 1)
+                        + j * log_p + (n - j) * log_q)
+
+    terms = [term(j) for j in range(n // 2 + 1, n + 1)]
     if n % 2 == 0:
-        half = n // 2
-        if pt in (0.0, 1.0):
-            tie = 0.0
-        else:
-            log_tie = (math.lgamma(n + 1) - 2 * math.lgamma(half + 1)
-                       + half * math.log(pt * (1.0 - pt)))
-            tie = 0.5 * math.exp(log_tie)
-        tail += tie
-    return tail
+        terms.append(0.5 * term(n // 2))
+    return math.fsum(terms)
 
 
 def mean_flip_time(params: VotingParams) -> VotingFlipTime:

@@ -111,12 +111,14 @@ def test_criterion_03_noiseless_preservation():
 
 
 def test_criterion_04_circuit_basis_equivalence():
-    from qcadc.circuits import classical_basis_action
+    from qcadc.circuits import basis_action
     passed = True
     for scheme in ("q232", "qtlv"):
         for n in (4, 6, 8, 10):
             inputs = ((np.arange(2**n)[:, None] >> np.arange(n)[None, :]) & 1).astype(np.uint8)
-            out = classical_basis_action(build_step(scheme, n), inputs)[:, n:]
+            gates = [g.qubits for g in build_step(scheme, n).gates()]
+            future = basis_action(np.arange(2**n), gates) >> n  # |b>|0> -> |b ^ M(b)>|M(b)>
+            out = ((future[:, None] >> np.arange(n)) & 1).astype(np.uint8)
             for row_in, got in zip(inputs, out):
                 if scheme == "q232":
                     expect = ca.step_elementary(ca.BitConfig(row_in), ca.RULE_232).cells

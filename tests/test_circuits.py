@@ -7,7 +7,7 @@ import pytest
 from qcadc import ca
 from qcadc.circuits import (Circuit, NoiseModel, QcaStepper,
                             build_q232_step, build_qtlv_step, build_step,
-                            circuit_to_text, classical_basis_action,
+                            basis_action, circuit_to_text,
                             decompose_toffoli, noiseless_preservation,
                             run_qca_trajectory, QcaRunSpec, trajectory_rng,
                             _toffoli_network)
@@ -17,6 +17,10 @@ from oracles import toffoli_matrix
 
 def all_basis_rows(n):
     return ((np.arange(2**n)[:, None] >> np.arange(n)[None, :]) & 1).astype(np.uint8)
+
+
+def gate_qubits(circuit):
+    return [g.qubits for g in circuit.gates()]
 
 
 def circuit_unitary(circuit, num_qubits):
@@ -60,11 +64,12 @@ def test_layer_validation_catches_overlap():
 
 
 @pytest.mark.parametrize("scheme", ["q232", "qtlv"])
-@pytest.mark.parametrize("n", [4, 6, 8, 10])
+@pytest.mark.parametrize("n", [4, 6, 8, 10, 12])
 def test_circuit_matches_classical_rule_exhaustively(scheme, n):
     circuit = build_step(scheme, n)
     inputs = all_basis_rows(n)
-    out = classical_basis_action(circuit, inputs)
+    image = basis_action(np.arange(2**n), gate_qubits(circuit))  # |b>|0>, now bits low
+    out = ((image[:, None] >> np.arange(2 * n)) & 1).astype(np.uint8)
     for row_in, row_out in zip(inputs, out):
         if scheme == "q232":
             expect = ca.step_elementary(ca.BitConfig(row_in), ca.RULE_232).cells
@@ -80,8 +85,7 @@ def test_circuit_matches_classical_rule_exhaustively(scheme, n):
 
 def test_all_zero_input_is_fixed():
     circuit = build_q232_step(6)
-    out = classical_basis_action(circuit, np.zeros((1, 6), dtype=np.uint8))
-    assert not out.any()
+    assert not basis_action(np.zeros(1, dtype=np.int64), gate_qubits(circuit)).any()
 
 
 @pytest.mark.parametrize("scheme", ["q232", "qtlv"])
@@ -95,28 +99,32 @@ def test_gate_order_within_blocks_is_irrelevant(scheme):
     circuit = build_step(scheme, n)
     toffolis = [g for g in circuit.gates() if g.kind == "TOFFOLI"]
     cnots = [g for g in circuit.gates() if g.kind == "CNOT"]
-    perm = np.arange(1 << (2 * n))
-    for gate in toffolis + cnots:
-        perm = _apply_classical(perm, gate)
+    indices = np.arange(1 << (2 * n))
+    perm = basis_action(indices, [g.qubits for g in toffolis + cnots])
     rng = np.random.default_rng(5)
     for _ in range(5):
         tof, cn = list(toffolis), list(cnots)
         rng.shuffle(tof)
         rng.shuffle(cn)
-        other = np.arange(1 << (2 * n))
-        for gate in tof + cn:
-            other = _apply_classical(other, gate)
-        assert np.array_equal(perm, other)
+        assert np.array_equal(perm, basis_action(indices, [g.qubits for g in tof + cn]))
 
 
-def _apply_classical(indices, gate):
-    if gate.kind == "TOFFOLI":
-        a, b, t = gate.qubits
-        hit = ((indices >> a) & 1) & ((indices >> b) & 1)
-    else:
-        c, t = gate.qubits
-        hit = (indices >> c) & 1
-    return indices ^ (hit << t)
+def test_basis_action_matches_dense_gates():
+    # random Toffoli/CNOT sequences on 6 qubits, every basis state at once
+    rng = np.random.default_rng(11)
+    num_qubits = 6
+    for _ in range(20):
+        gates = []
+        for _ in range(int(rng.integers(1, 12))):
+            kind = "TOFFOLI" if rng.random() < 0.5 else "CNOT"
+            size = 3 if kind == "TOFFOLI" else 2
+            gates.append(Gate(kind, tuple(int(q) for q in
+                                          rng.choice(num_qubits, size, replace=False))))
+        perm = basis_action(np.arange(1 << num_qubits), [g.qubits for g in gates])
+        U = circuit_unitary(Circuit("x", 1, tuple((g,) for g in gates)), num_qubits)
+        expect = np.zeros_like(U)
+        expect[perm, np.arange(1 << num_qubits)] = 1.0  # U|b> = |perm[b]>
+        assert np.array_equal(U, expect)
 
 
 def test_toffoli_decomposition_exact():

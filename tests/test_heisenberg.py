@@ -126,6 +126,12 @@ def test_expansion_residual_counts_entries_the_operator_lacks():
     expansion = hz.projector_expansion(op, 2)
     assert [t.coefficient for t in expansion.terms] == [0.75]
     assert expansion.residual == 0.75
+    # two kept terms: the second (X on qubit 0, coefficient 5/4) also writes
+    # 5/4 at row 3 of column 2, which holds only a diagonal entry
+    op = hz.SupportedOperator(np.array([1, 0, 2, 2]), np.array([1.0, 2.0, 1.0, 2.0]), (0,))
+    expansion = hz.projector_expansion(op, 2)
+    assert [t.coefficient for t in expansion.terms] == [0.25, 1.25]
+    assert expansion.residual == 1.25
 
 
 def test_sigma_z_single_term_expansion():

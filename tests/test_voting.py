@@ -63,6 +63,22 @@ def test_logical_flip_large_n_overflow_safe():
     assert approx == pytest.approx(float(exact), rel=1e-10)
 
 
+@pytest.mark.parametrize("n", [13, 101, 500, 1000])
+@pytest.mark.parametrize("t", [1, 2])
+def test_log_space_tail_matches_exact_fractions(n, t):
+    for p in (Fraction(1, 5), Fraction(2, 5)):
+        exact = float(voting.logical_flip_prob(n, t, p))
+        assert exact > 0.0  # a tail that underflows would pass any relative test
+        assert voting.logical_flip_prob(n, t, float(p)) == pytest.approx(exact, rel=1e-10)
+
+
+def test_log_space_tail_at_certain_flips():
+    for n in (1, 2, 7, 10):
+        assert voting.logical_flip_prob(n, 1, 0.0) == 0.0
+        assert voting.logical_flip_prob(n, 1, 1.0) == 1.0
+        assert voting.logical_flip_prob(n, 2, 1.0) == 0.0  # two flips undo each other
+
+
 def test_mean_flip_time_single_cell():
     result = voting.mean_flip_time(voting.VotingParams(1, 0.2, 0))
     assert result.periods == pytest.approx(5.0)
