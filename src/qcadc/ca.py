@@ -249,6 +249,8 @@ def _batch_flip_times(n: int, rule: RuleKind, p: float, seed: int,
     """
     if max_steps <= 0:
         raise ValueError("max_steps must be positive")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"flip probability must lie in [0, 1], got {p}")
     trials = np.asarray(trial_indices, dtype=np.int64)
     result = np.full(trials.shape, -1, dtype=np.int64)
     active = np.arange(trials.size)  # positions in ``trials`` of the running trials

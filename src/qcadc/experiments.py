@@ -84,6 +84,8 @@ class CampaignConfig:
             raise ValueError(f"unknown quantum noise kind {self.noise!r}")
         if self.trials < 1:
             raise ValueError("need at least one trial")
+        if self.max_steps <= 0:
+            raise ValueError("max_steps must be positive")
         for n, p in self.grid:
             if self.backend == "qca" and n % 2:
                 raise ValueError(f"quantum backend needs even n, got {n}")
@@ -127,6 +129,10 @@ def _qca_flip_times(scheme: str, n: int, p: float, noise_kind: str, trials: int,
     The logical angle is ``phi`` when given, else drawn per trajectory as
     the first value of its stream.
     """
+    if max_steps <= 0:
+        raise ValueError("max_steps must be positive")
+    if phi is not None and not abs(phi) < math.pi / 4:
+        raise ValueError("the logical angle must satisfy |phi| < pi/4")
     stepper = QcaStepper("q232" if scheme == "232" else "qtlv", n)
     noise = NoiseModel(noise_kind, p)
     times = np.empty(trials, dtype=np.int64)

@@ -208,20 +208,33 @@ class NoiseModel:
         return coherent_angle(self.p)
 
 
-def apply_phenom_incoherent(state: StateVector, qubits: tuple[int, ...], p: float,
-                            rng: np.random.Generator) -> StateVector:
-    """Independent X flip with probability p on each listed qubit."""
-    if p > 0.0:
-        for q in qubits:
-            if rng.random() < p:
-                apply_gate(state, Gate("X", (q,)))
-    return state
-
-
 def apply_phenom_coherent(state: StateVector, qubits: tuple[int, ...], theta: float) -> StateVector:
-    """RX(theta) on every listed qubit (a fixed unitary, no sampling)."""
+    """RX(theta) on every listed qubit, in order (a fixed unitary, no sampling).
+
+    One pass per qubit q over the view (2^(m-1-q), 2, 2^q) of the
+    amplitudes: out = c * v + s * v with bit q flipped.  Each amplitude gets
+    the two products and the one addition of ``apply_gate``'s RX, and IEEE
+    addition commutes, so the result is bit-identical to it.  The input and
+    the output array swap roles from one qubit to the next, so from the
+    second qubit on the array ``state.amps`` held is overwritten;
+    ``state.amps`` ends up pointing at the result.
+    """
+    m = state.num_qubits
     for q in qubits:
-        apply_gate(state, Gate("RX", (q,), theta))
+        if not 0 <= q < m:
+            raise ValueError(f"qubit {q} outside a {m}-qubit register")
+    c = math.cos(theta / 2.0)
+    s = 1j * math.sin(theta / 2.0)
+    src = state.amps  # 1-D, so every reshape below is a view
+    out, tmp = np.empty((2, src.size), dtype=np.complex128)
+    for q in qubits:
+        shape = (1 << (m - 1 - q), 2, 1 << q)
+        v, o, t = src.reshape(shape), out.reshape(shape), tmp.reshape(shape)
+        np.multiply(v, c, out=o)
+        np.multiply(v[:, ::-1, :], s, out=t)
+        o += t
+        src, out = out, src
+    state.amps = src
     return state
 
 

@@ -98,6 +98,20 @@ def expectation(rho: np.ndarray, op: np.ndarray) -> float:
     return float(np.trace(rho @ op).real)
 
 
+def apply_phenom_incoherent(state, qubits: tuple[int, ...], p: float,
+                            rng: np.random.Generator):
+    """Independent X flip with probability p on each listed qubit of a StateVector.
+
+    X on qubit q maps basis index b to b ^ 2^q, so a flip is that gather.
+    """
+    if p > 0.0:
+        index = np.arange(state.amps.size)
+        for q in qubits:
+            if rng.random() < p:
+                state.amps = state.amps[index ^ (1 << q)]
+    return state
+
+
 def enumerate_logical_flip(n: int, p_cell: float) -> float:
     """Exact P(majority flipped) over all 2^n i.i.d. flip patterns.
 

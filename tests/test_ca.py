@@ -126,6 +126,12 @@ def test_flip_time_rejects_bad_max_steps():
         ca.flip_time_trial(4, 232, 0.1, seed=0, max_steps=0)
 
 
+@pytest.mark.parametrize("p", [1.5, -0.5, math.nan])
+def test_flip_time_rejects_p_outside_unit_interval(p):
+    with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+        ca.flip_time_stats(4, "tlv", p, trials=3, seed=0)
+
+
 def test_flip_time_trial_matches_batch():
     for trial in (0, 3, 17):
         single = ca.flip_time_trial(10, "tlv", 0.2, seed=21, trial_index=trial,

@@ -138,6 +138,44 @@ def test_qca_run_refuses_zero_trials_without_a_circuit_dump(capsys):
     assert "need at least one trial" in err
 
 
+@pytest.mark.parametrize("phi", ["2.0", "-0.8", "0.7853981633974483"])
+def test_qca_run_refuses_a_logical_angle_outside_pi_over_4(capsys, phi):
+    code, out, err = run_cli(capsys, "qca-run", "--scheme", "qtlv", "--n", "4",
+                             "--noise", "coherent", "--p", "0.1", "--trials", "2",
+                             "--phi", phi)
+    assert code == 1 and out == ""
+    assert "|phi| < pi/4" in err
+
+
+@pytest.mark.parametrize("max_steps", ["0", "-3"])
+def test_qca_run_refuses_non_positive_max_steps(capsys, max_steps):
+    code, out, err = run_cli(capsys, "qca-run", "--scheme", "q232", "--n", "4",
+                             "--noise", "incoherent", "--p", "0.1", "--trials", "2",
+                             "--max-steps", max_steps)
+    assert code == 1 and out == ""
+    assert "max_steps must be positive" in err
+
+
+@pytest.mark.parametrize("backend, noise", [("qca", "incoherent"), ("ca", "bitflip")])
+def test_campaign_refuses_non_positive_max_steps(tmp_path, capsys, backend, noise):
+    cfg = tmp_path / "campaign.json"
+    cfg.write_text(json.dumps({"backend": backend, "scheme": "232", "grid": [[4, 0.1]],
+                               "noise": noise, "trials": 2, "max_steps": 0}))
+    code, out, err = run_cli(capsys, "campaign", "--config", str(cfg),
+                             "--output", str(tmp_path / "out"))
+    assert code == 1 and out == ""
+    assert "max_steps must be positive" in err
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("p", ["1.5", "-0.5"])
+def test_flip_time_refuses_p_outside_unit_interval(capsys, p):
+    code, out, err = run_cli(capsys, "flip-time", "--rule", "232", "--n", "5",
+                             "--p", p, "--trials", "3")
+    assert code == 1 and out == ""
+    assert "flip probability must lie in [0, 1]" in err
+
+
 # Rows recorded from the qca-run trajectory loop before it was routed
 # through the campaign's; a sampled angle and a fixed --phi draw different
 # amounts from each trajectory's stream.

@@ -101,6 +101,9 @@ def test_campaign_config_validation():
         CampaignConfig("ca", "tlv", ((8, 1.2),))
     with pytest.raises(ValueError):
         CampaignConfig("xx", "tlv", ((8, 0.2),))
+    for backend, noise in (("ca", "bitflip"), ("qca", "coherent")):
+        with pytest.raises(ValueError, match="max_steps must be positive"):
+            CampaignConfig(backend, "tlv", ((8, 0.2),), noise=noise, max_steps=0)
 
 
 def test_qca_campaign_smoke():

@@ -9,8 +9,9 @@ import pytest
 
 from qcadc import qsim
 from qcadc.qsim import Gate, StateVector
-from oracles import (PAULI, bitflip_channel, cnot_matrix, depolarizing_channel,
-                     expectation, kron_all, pauli_string_op, toffoli_matrix)
+from oracles import (PAULI, apply_phenom_incoherent, bitflip_channel, cnot_matrix,
+                     depolarizing_channel, expectation, kron_all, pauli_string_op,
+                     toffoli_matrix)
 
 
 def basis(num_qubits, index):
@@ -143,9 +144,9 @@ def test_block_and_sequential_reset_agree_in_distribution():
 
 def test_incoherent_channel_edges():
     rng = np.random.default_rng(0)
-    state = qsim.apply_phenom_incoherent(StateVector(3), (0, 1, 2), 0.0, rng)
+    state = apply_phenom_incoherent(StateVector(3), (0, 1, 2), 0.0, rng)
     assert state.amps[0] == 1.0
-    state = qsim.apply_phenom_incoherent(StateVector(3), (0, 1, 2), 1.0, rng)
+    state = apply_phenom_incoherent(StateVector(3), (0, 1, 2), 1.0, rng)
     assert state.amps[0b111] == 1.0
 
 
@@ -155,7 +156,7 @@ def test_incoherent_channel_matches_exact():
     total_z = 0.0
     runs = 100_000
     for _ in range(runs):
-        state = qsim.apply_phenom_incoherent(StateVector(1), (0,), p, rng)
+        state = apply_phenom_incoherent(StateVector(1), (0,), p, rng)
         total_z += qsim.expectation_z_sum(state, (0,))
     rho = bitflip_channel(np.diag([1.0 + 0j, 0]), 0, 1, p)
     exact = expectation(rho, PAULI["Z"])
@@ -180,6 +181,34 @@ def test_coherent_channel_edges_and_exactness():
     rho_exact = U @ np.diag([1.0 + 0j, 0, 0, 0]) @ U.conj().T
     assert np.allclose(rho, rho_exact, atol=1e-12)
     assert abs(state.amps[1]) ** 2 == pytest.approx(p * (1 - p))
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_coherent_pass_is_bit_identical_to_gate_by_gate_rx(m):
+    rng = np.random.default_rng(zlib.crc32(f"coherent-{m}".encode()))
+    for case in range(24):
+        amps = rng.normal(size=1 << m) + 1j * rng.normal(size=1 << m)
+        if case % 2:  # mostly zero, with signed zeros in both parts
+            amps[rng.random(amps.size) < 0.9] = 0.0
+            amps.real[rng.random(amps.size) < 0.2] = -0.0
+            amps.imag[rng.random(amps.size) < 0.2] = -0.0
+        qubits = tuple(int(q) for q in rng.integers(0, m, size=rng.integers(0, 2 * m + 1)))
+        theta = (0.0, math.pi, qsim.coherent_angle(11 / 72))[case % 3] if case < 6 \
+            else float(rng.uniform(-4.0, 4.0))
+        expected = StateVector(m, amps.copy())
+        for q in qubits:
+            qsim.apply_gate(expected, Gate("RX", (q,), theta))
+        # A strided input array reshapes to views too, and the passes write into it.
+        strided = np.repeat(amps, 2)[::2]
+        for start in (amps.copy(), strided):
+            state = qsim.apply_phenom_coherent(StateVector(m, start), qubits, theta)
+            assert state.amps.tobytes() == expected.amps.tobytes(), (qubits, theta)
+
+
+def test_coherent_pass_refuses_qubits_outside_the_register():
+    for qubits in ((3,), (0, -1), (1, 4)):
+        with pytest.raises(ValueError, match="outside a 3-qubit register"):
+            qsim.apply_phenom_coherent(StateVector(3), qubits, 0.3)
 
 
 def test_depolarizing_requires_gate_support():

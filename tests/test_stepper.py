@@ -15,7 +15,7 @@ from qcadc.circuits import (ExactBlockSum, LogicalRegisterMap, NoiseModel, QcaSt
                             build_step, trajectory_rng)
 from qcadc.experiments import _qca_flip_times
 from qcadc.qsim import (Gate, SparseRegister, StateVector, apply_depolarizing_after_gate,
-                        apply_gate, apply_phenom_coherent, expectation_z_sum, measure_reset)
+                        apply_gate, expectation_z_sum, measure_reset)
 
 RECORDED = json.loads((Path(__file__).parent / "data" / "qca_flip_times.json").read_text())
 
@@ -75,7 +75,8 @@ def _oracle_step(scheme, n, register, regmap, noise, rng):
             if rng.random() < noise.p:
                 apply_gate(register, Gate("X", (q,)))
     elif noise.kind == "coherent":
-        apply_phenom_coherent(register, regmap.now, noise.theta)
+        for q in regmap.now:
+            apply_gate(register, Gate("RX", (q,), noise.theta))
     for gate in build_step(scheme, n).gates():
         physical = _physical(gate, regmap, n)
         apply_gate(register, physical)
