@@ -198,16 +198,21 @@ def apply_bitflip_noise(config: BitConfig | TlvConfig, noise: NoiseParams,
 def noisy_orbit(rule: RuleKind, n: int, p: float, steps: int, seed: int = 0,
                 trial_index: int = 0,
                 initial: BitConfig | TlvConfig | None = None) -> Iterator[BitConfig | TlvConfig]:
-    """Yield the configuration after each noise-then-rule step, starting state first."""
+    """Yield the configuration after each noise-then-rule step, starting state first.
+
+    The arguments are checked here, before the first state is yielded.
+    """
+    if steps < 0:
+        raise ValueError(f"steps must be non-negative, got {steps}")
     noise = NoiseParams(p, seed, trial_index)
-    state: BitConfig | TlvConfig
-    if initial is not None:
-        state = initial
-    elif rule == "tlv":
-        state = TlvConfig.zeros(n)
-    else:
-        state = BitConfig.zeros(n)
+    if initial is None:
+        initial = TlvConfig.zeros(n) if rule == "tlv" else BitConfig.zeros(n)
     table = None if rule == "tlv" else rule_from_wolfram(int(rule))
+    return _orbit(initial, noise, table, steps)
+
+
+def _orbit(state: BitConfig | TlvConfig, noise: NoiseParams, table: RuleTable | None,
+           steps: int) -> Iterator[BitConfig | TlvConfig]:
     yield state
     for t in range(1, steps + 1):
         state = apply_bitflip_noise(state, noise, step=t)
@@ -251,6 +256,9 @@ def _batch_flip_times(n: int, rule: RuleKind, p: float, seed: int,
         raise ValueError("max_steps must be positive")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"flip probability must lie in [0, 1], got {p}")
+    least = 2 if rule == "tlv" else 1  # one cell per string for two-line voting
+    if n < least:
+        raise ValueError(f"the cell count n must be at least {least}, got {n}")
     trials = np.asarray(trial_indices, dtype=np.int64)
     result = np.full(trials.shape, -1, dtype=np.int64)
     active = np.arange(trials.size)  # positions in ``trials`` of the running trials

@@ -27,7 +27,7 @@ from numpy.random import SeedSequence, default_rng
 
 from . import qsim
 from .qsim import (Gate, NoiseModel, SparseRegister, StateVector, apply_phenom_coherent,
-                   draw_depolarizing_kick)
+                   draw_kick_labels)
 # Gate-level names bound here for perfbench/tracing.py, which wraps them in this module.
 from .qsim import (apply_depolarizing_after_gate, apply_gate,  # noqa: F401
                    expectation_z_sum, measure_reset)
@@ -476,29 +476,38 @@ class QcaStepper:
                            p: float, rng: np.random.Generator) -> float:
         """The step's gates, each followed by its kick draw, then the now-register reset.
 
-        The reset applies ``measure_reset``'s numpy expressions to the kept
-        terms, so the probabilities, the outcome draw and the renormalised
-        amplitudes are bit for bit those of a dense register.
+        The register's one or two basis indices are held as ints while the
+        gates run.  The reset outcome is ``two_term_outcome``'s draw, and the
+        weights, the renormalised amplitudes and sum<Z> are
+        ``measure_reset``'s numpy expressions on the kept terms, so every bit
+        matches a dense register.
         """
+        draw = rng.random
+        count = len(register.index)
+        a, b = register.index[0], register.index[-1]  # b == a on a one-term register
         for cmask, tmask, support in self._gates[regmap.now[0] == 0]:
-            register.index = [b ^ tmask if b & cmask == cmask else b for b in register.index]
-            labels = draw_depolarizing_kick(len(support), p, rng)
-            if labels is not None:
+            if a & cmask == cmask:
+                a ^= tmask
+            if b & cmask == cmask:
+                b ^= tmask
+            if p > 0.0 and draw() < p:
+                register.index = [a, b][:count]
                 # Looked up on the module, so a wrapper installed there sees the kick.
-                qsim.apply_pauli_string(register, support, labels)
-        if abs(register.norm() - 1.0) > 1e-10:
+                qsim.apply_pauli_string(register, support, draw_kick_labels(len(support), rng))
+                a, b = register.index[0], register.index[-1]
+        index = [a, b][:count]
+        shift, mask = regmap.now[0], (1 << self.n) - 1
+        weights = (np.abs(register.amps) ** 2).tolist()
+        if abs(math.sqrt(sum(weights)) - 1.0) > 1e-10:
             raise AssertionError("statevector norm drifted past 1e-10")
-        mask = (1 << self.n) - 1
-        index = np.array(register.index, dtype=np.int64)
-        now = (index >> regmap.now[0]) & mask
-        marginal = np.bincount(now, weights=np.abs(register.amps) ** 2, minlength=1 << self.n)
-        total = marginal.sum()
-        outcome = int(rng.choice(marginal.size, p=marginal / total))
-        keep = now == outcome
-        register.amps = register.amps[keep] / math.sqrt(marginal[outcome])
-        register.index = (index[keep] & ~(mask << regmap.now[0])).tolist()
-        future = (index[keep] >> regmap.future[0]) & mask
-        return float((np.abs(register.amps) ** 2) @ (self.n - 2.0 * np.bitwise_count(future)))
+        bins = [(i >> shift) & mask for i in index]
+        outcome, weight = two_term_outcome(bins, weights, draw)
+        keep = [j for j, o in enumerate(bins) if o == outcome]
+        amps = register.amps if len(keep) == count else register.amps[keep]
+        register.amps = amps / math.sqrt(weight)
+        register.index = [index[j] & ~(mask << shift) for j in keep]
+        future = [(index[j] >> regmap.future[0]) & mask for j in keep]
+        return float((np.abs(register.amps) ** 2) @ self._weights[future])
 
     def run_trajectory(self, noise: NoiseModel, phi: float, max_steps: int,
                        rng: np.random.Generator) -> int | None:
@@ -513,6 +522,28 @@ class QcaStepper:
             if zsum < 0.0:
                 return t
         return None
+
+
+def two_term_outcome(bins: list[int], weights: list[float], draw) -> tuple[int, float]:
+    """The bin ``Generator.choice`` draws from one or two weighted terms, and its weight.
+
+    ``choice(size, p=marginal / total)``, marginal the per-bin sums, takes
+    a right ``searchsorted`` of one ``random()`` draw in the cumulative sum
+    of p divided by its last entry.  Zeros add exactly, so with bins
+    o_lo < o_hi of summed weights m_lo, m_hi that is o_lo iff the draw is
+    below p_lo / (p_lo + p_hi).  Terms sharing a bin add in index order,
+    and ``draw()`` is called once even when there is one bin.
+    """
+    lo, hi = min(bins), max(bins)
+    m_lo = m_hi = 0.0
+    for o, w in zip(bins, weights):
+        if o == lo:
+            m_lo += w
+        else:
+            m_hi += w
+    total = m_lo + m_hi
+    p_lo, p_hi = m_lo / total, m_hi / total
+    return (lo, m_lo) if draw() < p_lo / (p_lo + p_hi) else (hi, m_hi)
 
 
 def trajectory_rng(seed: int, trial_index: int) -> np.random.Generator:

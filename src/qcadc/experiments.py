@@ -86,7 +86,10 @@ class CampaignConfig:
             raise ValueError("need at least one trial")
         if self.max_steps <= 0:
             raise ValueError("max_steps must be positive")
+        least = 4 if self.backend == "qca" else 1  # the step circuits need n >= 4
         for n, p in self.grid:
+            if n < least:
+                raise ValueError(f"the {self.backend} backend needs n >= {least}, got {n}")
             if self.backend == "qca" and n % 2:
                 raise ValueError(f"quantum backend needs even n, got {n}")
             if not 0.0 <= p <= 1.0:

@@ -20,6 +20,8 @@ import numpy as np
 
 SQRT2_INV = 1.0 / math.sqrt(2.0)
 T_PHASE = complex(math.cos(math.pi / 4), math.sin(math.pi / 4))
+# Z's phase as numpy applies it: ``v *= -1.0`` on complex amplitudes multiplies by -1 + 0j.
+_MINUS_ONE = complex(-1.0, 0.0)
 
 GATE_KINDS = ("X", "Y", "Z", "H", "T", "TDG", "RX", "CNOT", "TOFFOLI")
 
@@ -112,18 +114,25 @@ class SparseRegister:
         index = np.flatnonzero(state.amps)
         return cls(num_qubits, index, state.amps[index])
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
     def apply_pauli(self, qubit: int, label: str) -> None:
-        """X, Y or Z on one qubit, with ``apply_gate``'s amplitude arithmetic."""
+        """X, Y or Z on one qubit, with ``apply_gate``'s amplitude arithmetic.
+
+        Each amplitude is multiplied as a Python complex by the complex
+        scalar numpy multiplies it by in ``apply_gate`` (-1j and 1j for Y,
+        -1.0 + 0j for Z).  Every partial product is exact, so the result is
+        the same bits, signed zeros included.
+        """
+        if label not in ("X", "Y", "Z"):
+            raise ValueError(f"unknown Pauli label {label!r}")
         bit = 1 << qubit
         if label != "X":
-            ones = np.array([b & bit != 0 for b in self.index], dtype=bool)
             if label == "Y":  # |0> -> i|1>, |1> -> -i|0>
-                self.amps = np.where(ones, -1j * self.amps, 1j * self.amps)
+                amps = [-1j * a if b & bit else 1j * a
+                        for b, a in zip(self.index, self.amps.tolist())]
             else:
-                self.amps = np.where(ones, self.amps * -1.0, self.amps)
+                amps = [a * _MINUS_ONE if b & bit else a
+                        for b, a in zip(self.index, self.amps.tolist())]
+            self.amps = np.array(amps, dtype=np.complex128)
         if label != "Z":
             self.index = [b ^ bit for b in self.index]
 
@@ -245,13 +254,21 @@ def draw_depolarizing_kick(k: int, p: float, rng: np.random.Generator) -> str | 
     """The Pauli string a depolarizing kick applies after a k-qubit gate, or None.
 
     With probability p (one ``rng.random()`` draw, none at p = 0) the kick
-    is one of the 4^k - 1 non-identity strings, drawn uniformly; label j
-    acts on the gate's j-th qubit, '0' meaning identity.
+    is ``draw_kick_labels(k, rng)``.
     """
     if k not in (2, 3):
         raise ValueError("depolarizing noise is defined on 2- or 3-qubit gate supports")
     if p <= 0.0 or rng.random() >= p:
         return None
+    return draw_kick_labels(k, rng)
+
+
+def draw_kick_labels(k: int, rng: np.random.Generator) -> str:
+    """One of the 4^k - 1 non-identity Pauli strings on k qubits, drawn uniformly.
+
+    One ``rng.integers(1, 4**k)`` draw; label j, taken from bits 2j and
+    2j+1 of it, acts on the gate's j-th qubit, '0' meaning identity.
+    """
     index = int(rng.integers(1, 4**k))
     labels = ""
     for _ in range(k):

@@ -132,6 +132,20 @@ def test_flip_time_rejects_p_outside_unit_interval(p):
         ca.flip_time_stats(4, "tlv", p, trials=3, seed=0)
 
 
+@pytest.mark.parametrize("rule, n", [(232, 0), (232, -4), ("tlv", 0), ("tlv", -4)])
+def test_flip_time_rejects_lattices_without_cells(rule, n):
+    least = 2 if rule == "tlv" else 1
+    with pytest.raises(ValueError, match=f"must be at least {least}, got {n}"):
+        ca.flip_time_stats(n, rule, 0.1, trials=3, seed=0)
+    with pytest.raises(ValueError, match=f"must be at least {least}"):
+        ca.flip_time_trial(n, rule, 0.1, seed=0)
+
+
+def test_smallest_lattices_still_run():
+    assert ca.flip_time_stats(1, 232, 0.1, trials=5, seed=0, max_steps=1000).samples == 5
+    assert ca.flip_time_stats(2, "tlv", 0.1, trials=5, seed=0, max_steps=1000).samples == 5
+
+
 def test_flip_time_trial_matches_batch():
     for trial in (0, 3, 17):
         single = ca.flip_time_trial(10, "tlv", 0.2, seed=21, trial_index=trial,
@@ -239,6 +253,12 @@ def test_orbit_lines_format():
     assert all(len(line) == 9 and line[4] == "|" for line in lines)
     lines = list(ca.orbit_lines(ca.noisy_orbit(232, 8, 0.3, 3, seed=2)))
     assert all(len(line) == 8 and set(line) <= {"0", "1"} for line in lines)
+
+
+def test_orbit_refuses_negative_steps_at_the_call():
+    with pytest.raises(ValueError, match="steps must be non-negative"):
+        ca.noisy_orbit(232, 8, 0.3, -3)
+    assert [str(s) for s in ca.noisy_orbit(232, 8, 0.3, 0)] == ["00000000"]
 
 
 def test_orbit_determinism():

@@ -176,6 +176,32 @@ def test_flip_time_refuses_p_outside_unit_interval(capsys, p):
     assert "flip probability must lie in [0, 1]" in err
 
 
+@pytest.mark.parametrize("rule, n", [("232", "0"), ("232", "-4"), ("tlv", "0")])
+def test_flip_time_refuses_lattices_without_cells(capsys, rule, n):
+    code, out, err = run_cli(capsys, "flip-time", "--rule", rule, "--n", n, "--trials", "3")
+    assert code == 1 and out == ""
+    assert f"the cell count n must be at least {2 if rule == 'tlv' else 1}, got {n}" in err
+
+
+@pytest.mark.parametrize("backend, noise, n", [("ca", "bitflip", 0), ("qca", "depolarizing", 2)])
+def test_campaign_refuses_lattices_below_the_backend_minimum(tmp_path, capsys, backend,
+                                                             noise, n):
+    cfg = tmp_path / "campaign.json"
+    cfg.write_text(json.dumps({"backend": backend, "scheme": "232", "grid": [[n, "0.1"]],
+                               "noise": noise, "trials": 2}))
+    code, out, err = run_cli(capsys, "campaign", "--config", str(cfg),
+                             "--output", str(tmp_path / "out"))
+    assert code == 1 and out == ""
+    assert f"the {backend} backend needs n >= {1 if backend == 'ca' else 4}, got {n}" in err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_ca_orbit_refuses_negative_steps(capsys):
+    code, out, err = run_cli(capsys, "ca-orbit", "--rule", "232", "--steps", "-3")
+    assert code == 1 and out == ""
+    assert "steps must be non-negative, got -3" in err
+
+
 # Rows recorded from the qca-run trajectory loop before it was routed
 # through the campaign's; a sampled angle and a fixed --phi draw different
 # amounts from each trajectory's stream.

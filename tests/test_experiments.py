@@ -77,18 +77,17 @@ def test_campaign_row_histogram_consistency():
 
 
 def test_campaign_records_failures_in_row():
-    # n=2 passes config validation (even) but the circuit builder rejects it
-    config = CampaignConfig("qca", "232", ((2, 0.1), (4, 0.1)), noise="incoherent",
-                            trials=3, seed=1, max_steps=50)
+    # odd n passes config validation but two-line voting rejects it
+    config = CampaignConfig("ca", "tlv", ((7, 0.1), (8, 0.1)), trials=3, seed=1, max_steps=50)
     rows = run_campaign(config)
     assert rows[0].error is not None and rows[0].mean is None
     assert rows[1].error is None
 
 
 def test_campaign_error_rows_keep_the_exception_type():
-    config = CampaignConfig("qca", "tlv", ((2, 0.1),), noise="coherent", trials=2, seed=1)
+    config = CampaignConfig("ca", "tlv", ((7, 0.1),), trials=2, seed=1)
     row = run_campaign(config)[0]
-    assert row.error == "ValueError: quantized two-line voting needs an even cell count >= 4"
+    assert row.error == "ValueError: two-line voting needs an even total cell count"
     assert json.loads(rows_to_json([row]))["rows"][0]["error"] == row.error
 
 
@@ -104,6 +103,12 @@ def test_campaign_config_validation():
     for backend, noise in (("ca", "bitflip"), ("qca", "coherent")):
         with pytest.raises(ValueError, match="max_steps must be positive"):
             CampaignConfig(backend, "tlv", ((8, 0.2),), noise=noise, max_steps=0)
+    for backend, noise, n in (("ca", "bitflip", 0), ("ca", "bitflip", -4),
+                              ("qca", "coherent", 2), ("qca", "depolarizing", 0)):
+        with pytest.raises(ValueError, match=f"backend needs n >= .*, got {n}"):
+            CampaignConfig(backend, "232", ((8, 0.2), (n, 0.2)), noise=noise)
+    CampaignConfig("ca", "232", ((1, 0.2),))
+    CampaignConfig("qca", "232", ((4, 0.2),), noise="depolarizing")
 
 
 def test_qca_campaign_smoke():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qcadc import qsim
-from qcadc.qsim import Gate, StateVector
+from qcadc.qsim import Gate, SparseRegister, StateVector
 from oracles import (PAULI, apply_phenom_incoherent, bitflip_channel, cnot_matrix,
                      depolarizing_channel, expectation, kron_all, pauli_string_op,
                      toffoli_matrix)
@@ -249,6 +249,33 @@ def test_depolarizing_kick_applies_the_drawn_string():
         if labels is not None:
             qsim.apply_pauli_string(expect, (0, 1), labels)
         assert np.array_equal(state.amps, expect.amps)
+
+
+@pytest.mark.parametrize("label", ["X", "Y", "Z"])
+@pytest.mark.parametrize("qubit", [0, 1])
+def test_sparse_pauli_is_bit_identical_to_the_dense_gate(label, qubit):
+    # signed zeros in either component pin the complex products, not just the values
+    pairs = [(0.6, -0.8j), (complex(-0.0, 0.6), complex(0.8, -0.0)),
+             (complex(0.0, -0.6), complex(-0.8, 0.0)), (complex(-0.6, -0.0), 0.8j)]
+    for a, b in pairs:
+        for index in ([0, 3], [1, 2], [3, 1]):
+            register = SparseRegister(2, index, [a, b])
+            dense = np.zeros(4, dtype=complex)
+            dense[index] = [a, b]
+            state = qsim.apply_gate(StateVector(2, dense), Gate(label, (qubit,)))
+            register.apply_pauli(qubit, label)
+            assert state.amps[register.index].tobytes() == register.amps.tobytes()
+            assert np.count_nonzero(state.amps) == 2
+
+
+def test_pauli_strings_refuse_unknown_labels():
+    register = SparseRegister(4, [1, 2], [0.6, 0.8])
+    with pytest.raises(ValueError, match="unknown Pauli label 'W'"):
+        register.apply_pauli(0, "W")
+    assert register.index == [1, 2] and register.amps.tolist() == [0.6, 0.8]
+    for state in (SparseRegister(4, [1, 2], [0.6, 0.8]), StateVector(4)):
+        with pytest.raises(ValueError):
+            qsim.apply_pauli_string(state, (0, 1), "XW")
 
 
 @pytest.mark.parametrize("p", [0.05, 0.2])

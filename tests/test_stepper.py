@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcadc.circuits import (ExactBlockSum, LogicalRegisterMap, NoiseModel, QcaStepper,
-                            build_step, trajectory_rng)
+                            build_step, trajectory_rng, two_term_outcome)
 from qcadc.experiments import _qca_flip_times
 from qcadc.qsim import (Gate, SparseRegister, StateVector, apply_depolarizing_after_gate,
                         apply_gate, expectation_z_sum, measure_reset)
@@ -57,6 +57,32 @@ def test_exact_block_sum_refuses_shapes_numpy_sums_differently():
             ExactBlockSum([0], [0], shape, axis=None)
     with pytest.raises(ValueError):
         ExactBlockSum([0], [0], (8, 8), axis=2)
+
+
+@settings(max_examples=500, deadline=None)
+@given(n=st.integers(1, 10), data=st.data(), seed=st.integers(0, 2**32 - 1),
+       terms=st.integers(1, 2), at_boundary=st.booleans(),
+       exponents=st.lists(st.floats(-30.0, 0.0), min_size=2, max_size=2),
+       nudge=st.integers(-2, 2))
+def test_two_term_outcome_draws_what_choice_draws(n, data, seed, terms, at_boundary,
+                                                   exponents, nudge):
+    size = 1 << n
+    bins = data.draw(st.lists(st.integers(0, size - 1), min_size=terms, max_size=terms))
+    if at_boundary and terms == 2:
+        # Weights u and 1 - u, u the draw itself: the cut sits within ulps of it.
+        u = np.random.default_rng(seed).random()
+        weights = [u * 10.0 ** exponents[0], (1.0 - u) * 10.0 ** exponents[0]]
+        for _ in range(abs(nudge)):
+            weights[0] = math.nextafter(weights[0], math.copysign(math.inf, nudge))
+    else:
+        weights = [10.0 ** e for e in exponents[:terms]]
+    marginal = np.bincount(bins, weights=weights, minlength=size)
+    rng, choice_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    outcome, weight = two_term_outcome(bins, weights, rng.random)
+    expected = int(choice_rng.choice(size, p=marginal / marginal.sum()))
+    assert outcome == expected
+    assert np.float64(weight).tobytes() == marginal[expected].tobytes()
+    assert rng.random() == choice_rng.random()  # one draw taken by each
 
 
 # ---------------------------------------------------------------------------
