@@ -1,9 +1,8 @@
 """Density-classifying cellular automata, their quantum-circuit
 counterparts, and flip-time experiments."""
 
-from .ca import (BitConfig, FlipTimeStats, NoiseParams, RuleTable, TlvConfig,
-                 flip_time_stats, flip_time_trial, island_growth_enumeration,
-                 rule_from_wolfram, step_elementary, step_tlv)
+from .ca import (FlipTimeStats, RuleTable, flip_time_stats, flip_time_trial,
+                 island_growth_enumeration, rule_from_wolfram)
 from .circuits import (Circuit, LogicalRegisterMap, QcaRunSpec, QcaStepper,
                        build_q232_step, build_qtlv_step, decompose_toffoli,
                        run_qca_trajectory)
@@ -16,8 +15,7 @@ from .voting import VotingParams, flip_prob_after, logical_flip_prob, mean_flip_
 __version__ = "0.1.0"
 
 __all__ = [
-    "BitConfig", "TlvConfig", "RuleTable", "NoiseParams", "FlipTimeStats",
-    "rule_from_wolfram", "step_elementary", "step_tlv", "flip_time_trial",
+    "RuleTable", "FlipTimeStats", "rule_from_wolfram", "flip_time_trial",
     "flip_time_stats", "island_growth_enumeration",
     "extend_rule", "is_permutation", "is_self_dual",
     "VotingParams", "flip_prob_after", "logical_flip_prob", "mean_flip_time",

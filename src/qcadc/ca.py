@@ -2,19 +2,19 @@
 
 Elementary nearest-neighbor rules on a periodic ring, the local majority
 vote (rule 232), Toom-style two-line voting on a pair of coupled strings,
-i.i.d. bit-flip noise, flip-time Monte Carlo, island-growth enumeration and
-noiseless erosion analysis.
+i.i.d. bit-flip noise, noisy orbits, flip-time Monte Carlo, island-growth
+enumeration and noiseless erosion analysis.
 
-Monte Carlo trials run on the bit-packed kernels in :mod:`qcadc.packed`
-with counter-based noise from :mod:`qcadc.rng`, so a trial's orbit depends
-only on (seed, trial_index) and never on batching.
+Every step runs on the bit-packed kernels in :mod:`qcadc.packed`, chosen
+by ``_rule_step``, with counter-based noise from :mod:`qcadc.rng`, so a
+trial's orbit depends only on (seed, trial_index) and never on batching.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Union
+from typing import Callable, Iterable, Iterator, Union
 
 import numpy as np
 
@@ -52,143 +52,24 @@ def rule_from_wolfram(code: int) -> RuleTable:
     return RuleTable(code, tuple((code >> b) & 1 for b in range(8)))
 
 
-RULE_232 = rule_from_wolfram(232)
-RULE_184 = rule_from_wolfram(184)
+def _rule_step(rule: RuleKind, n: int, p: float = 0.0) -> Callable[[np.ndarray], np.ndarray]:
+    """The packed kernel for ``rule`` on n cells: rows of ``packed`` words in, stepped rows out.
 
-
-def _as_cells(cells: Iterable[int] | np.ndarray | str) -> np.ndarray:
-    if isinstance(cells, str):
-        cells = [int(c) for c in cells]
-    arr = np.asarray(cells, dtype=np.uint8)
-    if arr.ndim != 1 or arr.size < 1:
-        raise ValueError("a configuration needs at least one cell")
-    if np.any(arr > 1):
-        raise ValueError("cell states must be 0 or 1")
-    arr.setflags(write=False)
-    return arr
-
-
-@dataclass(frozen=True, eq=False)
-class BitConfig:
-    """A periodic ring of binary cells."""
-    cells: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "cells", _as_cells(self.cells))
-
-    @classmethod
-    def zeros(cls, n: int) -> "BitConfig":
-        return cls(np.zeros(n, dtype=np.uint8))
-
-    @classmethod
-    def ones(cls, n: int) -> "BitConfig":
-        return cls(np.ones(n, dtype=np.uint8))
-
-    @property
-    def n(self) -> int:
-        return self.cells.size
-
-    def complement(self) -> "BitConfig":
-        return BitConfig(1 - self.cells)
-
-    def ones_count(self) -> int:
-        return int(self.cells.sum())
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BitConfig) and np.array_equal(self.cells, other.cells)
-
-    def __str__(self) -> str:
-        return "".join("1" if c else "0" for c in self.cells)
-
-
-@dataclass(frozen=True, eq=False)
-class TlvConfig:
-    """Two coupled strings of equal length; total cell count is even."""
-    upper: BitConfig
-    lower: BitConfig
-
-    def __post_init__(self):
-        if self.upper.n != self.lower.n:
-            raise ValueError("upper and lower strings must have equal length")
-
-    @classmethod
-    def zeros(cls, n: int) -> "TlvConfig":
+    Every classical caller gets its kernel here, so the checks on the flip
+    probability and the lattice size are made in one place.
+    """
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"flip probability must lie in [0, 1], got {p}")
+    least = 2 if rule == "tlv" else 1  # one cell per string for two-line voting
+    if n < least:
+        raise ValueError(f"the cell count n must be at least {least}, got {n}")
+    if rule == "tlv":
         if n % 2:
-            raise ValueError("total cell count must be even")
-        return cls(BitConfig.zeros(n // 2), BitConfig.zeros(n // 2))
-
-    @property
-    def n(self) -> int:
-        return 2 * self.upper.n
-
-    def complement(self) -> "TlvConfig":
-        return TlvConfig(self.upper.complement(), self.lower.complement())
-
-    def ones_count(self) -> int:
-        return self.upper.ones_count() + self.lower.ones_count()
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, TlvConfig)
-                and self.upper == other.upper and self.lower == other.lower)
-
-    def __str__(self) -> str:
-        return f"{self.upper}|{self.lower}"
-
-
-@dataclass(frozen=True)
-class NoiseParams:
-    """Per-cell per-step flip probability plus the keys of the noise stream."""
-    p: float
-    seed: int = 0
-    trial_index: int = 0
-
-    def __post_init__(self):
-        if not 0.0 <= float(self.p) <= 1.0:
-            raise ValueError(f"flip probability must lie in [0, 1], got {self.p}")
-
-
-def step_elementary(config: BitConfig, rule: RuleTable) -> BitConfig:
-    """Synchronous update of every cell from its (left, self, right) neighborhood."""
-    cells = config.cells
-    idx = (np.roll(cells, 1).astype(np.intp) << 2) | (cells.astype(np.intp) << 1) \
-        | np.roll(cells, -1).astype(np.intp)
-    table = np.array(rule.outputs, dtype=np.uint8)
-    return BitConfig(table[idx])
-
-
-def step_tlv(config: TlvConfig) -> TlvConfig:
-    """Synchronous two-line-voting update of both strings.
-
-    upper[i] <- maj(upper[i-1], upper[i-2], lower[i])
-    lower[i] <- maj(lower[i+1], lower[i+2], upper[i])
-    """
-    u, l = config.upper.cells, config.lower.cells
-    new_u = _maj3(np.roll(u, 1), np.roll(u, 2), l)
-    new_l = _maj3(np.roll(l, -1), np.roll(l, -2), u)
-    return TlvConfig(BitConfig(new_u), BitConfig(new_l))
-
-
-def _maj3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    return (a & b) | (a & c) | (b & c)
-
-
-def apply_bitflip_noise(config: BitConfig | TlvConfig, noise: NoiseParams,
-                        step: int = 0) -> BitConfig | TlvConfig:
-    """Flip each cell independently with probability p.
-
-    Deterministic in (seed, trial_index, step).  For a TlvConfig the cells
-    are numbered upper 0..m-1 then lower m..2m-1 within the noise stream.
-    """
-    trial = np.array([noise.trial_index], dtype=np.int64)
-    if isinstance(config, TlvConfig):
-        m = config.upper.n
-        flips = rng.bernoulli_matrix(noise.seed, trial, step, 2 * m, float(noise.p))[0]
-        return TlvConfig(
-            BitConfig(config.upper.cells ^ flips[:m].astype(np.uint8)),
-            BitConfig(config.lower.cells ^ flips[m:].astype(np.uint8)),
-        )
-    flips = rng.bernoulli_matrix(noise.seed, trial, step, config.n, float(noise.p))[0]
-    return BitConfig(config.cells ^ flips.astype(np.uint8))
+            raise ValueError("two-line voting needs an even total cell count")
+        m = n // 2
+        return lambda rows: packed.step_tlv(rows, m)
+    rule_bits = np.array(rule_from_wolfram(int(rule)).outputs, dtype=np.uint8)
+    return lambda rows: packed.step_elementary(rows, n, rule_bits)
 
 
 # ---------------------------------------------------------------------------
@@ -196,34 +77,36 @@ def apply_bitflip_noise(config: BitConfig | TlvConfig, noise: NoiseParams,
 # ---------------------------------------------------------------------------
 
 def noisy_orbit(rule: RuleKind, n: int, p: float, steps: int, seed: int = 0,
-                trial_index: int = 0,
-                initial: BitConfig | TlvConfig | None = None) -> Iterator[BitConfig | TlvConfig]:
-    """Yield the configuration after each noise-then-rule step, starting state first.
+                trial_index: int = 0) -> Iterator[np.ndarray]:
+    """Yield the n cells (TLV: upper string, then lower) after each
+    noise-then-rule step from all-0, starting state first.
 
+    The noise is trial ``trial_index``'s row of the flip-time Monte Carlo
+    stream, so up to its flip time the orbit is the one that trial follows.
     The arguments are checked here, before the first state is yielded.
     """
     if steps < 0:
         raise ValueError(f"steps must be non-negative, got {steps}")
-    noise = NoiseParams(p, seed, trial_index)
-    if initial is None:
-        initial = TlvConfig.zeros(n) if rule == "tlv" else BitConfig.zeros(n)
-    table = None if rule == "tlv" else rule_from_wolfram(int(rule))
-    return _orbit(initial, noise, table, steps)
+    step = _rule_step(rule, n, p)
+    trial = np.array([trial_index], dtype=np.int64)
+
+    def states() -> Iterator[np.ndarray]:
+        row = packed.zeros(1, n)
+        yield packed.unpack_bits(row, n)[0]
+        for t in range(1, steps + 1):
+            row = step(row ^ packed.pack_bits(rng.bernoulli_matrix(seed, trial, t, n, p)))
+            yield packed.unpack_bits(row, n)[0]
+    return states()
 
 
-def _orbit(state: BitConfig | TlvConfig, noise: NoiseParams, table: RuleTable | None,
-           steps: int) -> Iterator[BitConfig | TlvConfig]:
-    yield state
-    for t in range(1, steps + 1):
-        state = apply_bitflip_noise(state, noise, step=t)
-        state = step_tlv(state) if table is None else step_elementary(state, table)
-        yield state
-
-
-def orbit_lines(orbit: Iterable[BitConfig | TlvConfig]) -> Iterator[str]:
+def orbit_lines(rule: RuleKind, orbit: Iterable[np.ndarray]) -> Iterator[str]:
     """Dump format: one '0'/'1' line per step; TLV rows as upper|lower."""
-    for state in orbit:
-        yield str(state)
+    for cells in orbit:
+        line = (cells + ord("0")).tobytes().decode("ascii")
+        if rule == "tlv":
+            m = len(line) // 2
+            line = f"{line[:m]}|{line[m:]}"
+        yield line
 
 
 # ---------------------------------------------------------------------------
@@ -254,28 +137,11 @@ def _batch_flip_times(n: int, rule: RuleKind, p: float, seed: int,
     """
     if max_steps <= 0:
         raise ValueError("max_steps must be positive")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"flip probability must lie in [0, 1], got {p}")
-    least = 2 if rule == "tlv" else 1  # one cell per string for two-line voting
-    if n < least:
-        raise ValueError(f"the cell count n must be at least {least}, got {n}")
+    step = _rule_step(rule, n, p)
     trials = np.asarray(trial_indices, dtype=np.int64)
     result = np.full(trials.shape, -1, dtype=np.int64)
     active = np.arange(trials.size)  # positions in ``trials`` of the running trials
     live = trials                    # their trial indices
-
-    if rule == "tlv":
-        if n % 2:
-            raise ValueError("two-line voting needs an even total cell count")
-        m = n // 2
-
-        def step(rows):
-            return packed.step_tlv(rows, m)
-    else:
-        rule_bits = np.array(rule_from_wolfram(int(rule)).outputs, dtype=np.uint8)
-
-        def step(rows):
-            return packed.step_elementary(rows, n, rule_bits)
     rows = packed.zeros(trials.size, n)
 
     need = n // 2  # strict majority means ones > n/2
@@ -353,22 +219,15 @@ def island_growth_enumeration(k: int) -> IslandGrowth:
     if k < 2:
         raise ValueError("island analysis needs k >= 2; sole errors are simply eroded")
     n = k + 10  # wide enough that wraparound never reaches the island
-    base = np.zeros(n, dtype=np.uint8)
     start = 4
-    base[start:start + k] = 1
-    flip_sites = [start - 2, start - 1, *range(start, start + k), start + k, start + k + 1]
-    grow = shrink = neutral = 0
-    for site in flip_sites:
-        cfg = base.copy()
-        cfg[site] ^= 1
-        after = step_elementary(BitConfig(cfg), RULE_232).ones_count()
-        if after > k:
-            grow += 1
-        elif after < k:
-            shrink += 1
-        else:
-            neutral += 1
-    return IslandGrowth(k, grow, shrink, neutral, Fraction(grow, len(flip_sites)))
+    sites = np.arange(start - 2, start + k + 2)
+    cells = np.zeros((sites.size, n), dtype=np.uint8)  # one row per flipped site
+    cells[:, start:start + k] = 1
+    cells[np.arange(sites.size), sites] ^= 1
+    after = packed.popcount(_rule_step(232, n)(packed.pack_bits(cells)))
+    grow, shrink = int((after > k).sum()), int((after < k).sum())
+    return IslandGrowth(k, grow, shrink, sites.size - grow - shrink,
+                        Fraction(grow, sites.size))
 
 
 # ---------------------------------------------------------------------------
@@ -390,22 +249,20 @@ def erosion_time(diameter: int, n: int) -> int:
     """
     if diameter < 0:
         raise ValueError("island diameter must be non-negative")
-    if n % 2 or n < 2:
-        raise ValueError("total cell count must be even and positive")
-    m = n // 2
-    if diameter > m:
+    step = _rule_step("tlv", n)
+    if diameter > n // 2:
         raise ValueError("island does not fit in the lattice")
-    row = np.zeros(m, dtype=np.uint8)
-    row[:diameter] = 1
-    state = TlvConfig(BitConfig(row), BitConfig.zeros(m))
+    cells = np.zeros((1, n), dtype=np.uint8)
+    cells[0, :diameter] = 1
+    row = packed.pack_bits(cells)
     seen = set()
     t = 0
-    while state.ones_count():
-        key = str(state)
+    while row.any():
+        key = row.tobytes()
         if key in seen:
             raise NonErodingError(f"orbit cycles without eroding (diameter={diameter}, n={n})")
         seen.add(key)
-        state = step_tlv(state)
+        row = step(row)
         t += 1
     return t
 

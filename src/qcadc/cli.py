@@ -79,7 +79,7 @@ def _cmd_ca_orbit(args) -> int:
     p = parse_probability(str(opts["p"]))
     orbit = ca.noisy_orbit(rule, int(opts["n"]), p, int(opts["steps"]),
                            int(opts["seed"]), int(opts["trial"]))
-    _write_output("\n".join(ca.orbit_lines(orbit)) + "\n", opts["output"])
+    _write_output("\n".join(ca.orbit_lines(rule, orbit)) + "\n", opts["output"])
     return 0
 
 
@@ -96,8 +96,6 @@ def _cmd_flip_time(args) -> int:
     rule = _rule_kind(str(opts["rule"]))
     p = parse_probability(str(opts["p"]))
     n = int(opts["n"])
-    if rule == "tlv" and n % 2:
-        raise CliError("two-line voting needs an even total cell count")
     stats = ca.flip_time_stats(n, rule, p, int(opts["trials"]), int(opts["seed"]),
                                int(opts["max_steps"]))
     scheme = "tlv" if rule == "tlv" else str(rule)
@@ -115,8 +113,6 @@ def _cmd_qca_run(args) -> int:
     if scheme not in ("q232", "qtlv"):
         raise CliError(f"scheme must be q232 or qtlv, got {scheme!r}")
     n = int(opts["n"])
-    if n % 2:
-        raise CliError("quantum runs need an even cell count")
     trials = int(opts["trials"])
     if opts["dump_circuit"] is not None:
         circuit = build_step(scheme, n)

@@ -92,6 +92,8 @@ class CampaignConfig:
                 raise ValueError(f"the {self.backend} backend needs n >= {least}, got {n}")
             if self.backend == "qca" and n % 2:
                 raise ValueError(f"quantum backend needs even n, got {n}")
+            if self.scheme == "tlv" and n % 2:
+                raise ValueError(f"two-line voting needs an even total cell count, got {n}")
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"flip probability {p} outside [0, 1]")
 

@@ -182,3 +182,49 @@ def uniform_words(seed: int, trials: np.ndarray, step: int, cells: np.ndarray) -
     h = _splitmix(key + trials.astype(np.uint64)[:, None] + golden)
     h = _splitmix(h + np.uint64(step & _MASK) + golden)
     return _splitmix(h + cells.astype(np.uint64)[None, :] + golden)
+
+
+def step_elementary(cells: np.ndarray, code: int) -> np.ndarray:
+    """One synchronous update of a uint8 ring under Wolfram rule ``code``.
+
+    Cell i reads the neighborhood (cells[i-1], cells[i], cells[i+1]) as a
+    3-bit number b and takes bit b of the code.
+    """
+    index = (np.roll(cells, 1).astype(np.intp) << 2) | (cells.astype(np.intp) << 1) \
+        | np.roll(cells, -1)
+    return ((code >> index) & 1).astype(np.uint8)
+
+
+def step_tlv(cells: np.ndarray) -> np.ndarray:
+    """One synchronous two-line-voting update of 2m uint8 cells, upper string first.
+
+    upper[i] <- maj(upper[i-1], upper[i-2], lower[i]) and
+    lower[i] <- maj(lower[i+1], lower[i+2], upper[i]), indices mod m.
+    """
+    m = cells.size // 2
+    upper, lower = cells[:m], cells[m:]
+
+    def maj(a, b, c):
+        return (a & b) | (a & c) | (b & c)
+    return np.concatenate([maj(np.roll(upper, 1), np.roll(upper, 2), lower),
+                           maj(np.roll(lower, -1), np.roll(lower, -2), upper)])
+
+
+def noisy_orbit(rule, n: int, p: float, steps: int, seed: int, trial: int) -> list[np.ndarray]:
+    """States of one noisy orbit from all-0, starting state first; rule is a code or "tlv".
+
+    Each step flips the cells whose noise word is below p * 2^64 (every
+    cell when p >= 1), then applies the rule.
+    """
+    cells = np.zeros(n, dtype=np.uint8)
+    states = [cells]
+    for t in range(1, steps + 1):
+        if p >= 1:
+            flips = np.ones(n, dtype=bool)
+        else:
+            words = uniform_words(seed, np.array([trial]), t, np.arange(n))[0]
+            flips = words < np.uint64(int(p * 2.0**64))
+        cells = cells ^ flips.astype(np.uint8)
+        cells = step_tlv(cells) if rule == "tlv" else step_elementary(cells, rule)
+        states.append(cells)
+    return states

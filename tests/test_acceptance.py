@@ -23,7 +23,8 @@ from qcadc.qsim import Gate, StateVector, apply_depolarizing_after_gate, apply_g
 from qcadc.reversible import extend_rule, is_involution, is_permutation, is_self_dual
 from qcadc.ca import rule_from_wolfram
 from oracles import (cnot_matrix, depolarizing_channel, enumerate_logical_flip,
-                     expectation, geometric_mean_mc, pauli_string_op, toffoli_matrix)
+                     expectation, geometric_mean_mc, pauli_string_op, step_elementary,
+                     step_tlv, toffoli_matrix)
 
 pytestmark = pytest.mark.acceptance
 
@@ -120,13 +121,7 @@ def test_criterion_04_circuit_basis_equivalence():
             future = basis_action(np.arange(2**n), gates) >> n  # |b>|0> -> |b ^ M(b)>|M(b)>
             out = ((future[:, None] >> np.arange(n)) & 1).astype(np.uint8)
             for row_in, got in zip(inputs, out):
-                if scheme == "q232":
-                    expect = ca.step_elementary(ca.BitConfig(row_in), ca.RULE_232).cells
-                else:
-                    m = n // 2
-                    nxt = ca.step_tlv(ca.TlvConfig(ca.BitConfig(row_in[:m]),
-                                                   ca.BitConfig(row_in[m:])))
-                    expect = np.concatenate([nxt.upper.cells, nxt.lower.cells])
+                expect = step_elementary(row_in, 232) if scheme == "q232" else step_tlv(row_in)
                 passed = passed and np.array_equal(got, expect)
     assert report(4, passed, "future register == classical update, all 2^n inputs, n <= 10")
 

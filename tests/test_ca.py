@@ -8,8 +8,17 @@ import numpy as np
 import pytest
 
 from qcadc import ca, packed
+import oracles
 
 RECORDED = json.loads((Path(__file__).parent / "data" / "ca_flip_times.json").read_text())
+
+
+def _step(rule, text):
+    """One noiseless engine step of a '0'/'1' string (two-line voting: upper then lower)."""
+    cells = np.array([[int(c) for c in text]], dtype=np.uint8)
+    n = cells.shape[1]
+    stepped = ca._rule_step(rule, n)(packed.pack_bits(cells))
+    return "".join(map(str, packed.unpack_bits(stepped, n)[0]))
 
 
 def test_rule_from_wolfram_30():
@@ -35,35 +44,30 @@ def test_rule_from_wolfram_zero_and_range():
 
 
 def test_step_232_erodes_sole_error():
-    out = ca.step_elementary(ca.BitConfig("00100"), ca.RULE_232)
-    assert str(out) == "00000"
+    assert _step(232, "00100") == "00000"
 
 
 def test_step_232_keeps_island():
-    out = ca.step_elementary(ca.BitConfig("001100"), ca.RULE_232)
-    assert str(out) == "001100"
+    assert _step(232, "001100") == "001100"
 
 
 def test_step_184_traffic():
-    out = ca.step_elementary(ca.BitConfig("1100"), ca.RULE_184)
-    assert str(out) == "1010"
+    assert _step(184, "1100") == "1010"
 
 
 def test_step_tlv_fixed_points_and_sole_error():
-    zero = ca.TlvConfig.zeros(12)
-    assert ca.step_tlv(zero) == zero
-    ones = zero.complement()
-    assert ca.step_tlv(ones) == ones
-    single = ca.TlvConfig(ca.BitConfig("000100"), ca.BitConfig("000000"))
-    assert ca.step_tlv(single) == ca.TlvConfig.zeros(12)
+    assert _step("tlv", "0" * 12) == "0" * 12
+    assert _step("tlv", "1" * 12) == "1" * 12
+    assert _step("tlv", "000100" + "000000") == "0" * 12
 
 
 def test_step_is_synchronous():
-    # pure function: same input object twice gives identical output
-    cfg = ca.BitConfig("0110101")
-    a = ca.step_elementary(cfg, ca.RULE_232)
-    b = ca.step_elementary(cfg, ca.RULE_232)
-    assert a == b and cfg == ca.BitConfig("0110101")
+    # pure function: the same input rows twice give identical output, input untouched
+    for rule, n in ((232, 7), (232, 130), ("tlv", 12), ("tlv", 130)):
+        rows = packed.pack_bits(np.random.default_rng(n).integers(0, 2, (4, n), dtype=np.uint8))
+        before = rows.copy()
+        step = ca._rule_step(rule, n)
+        assert np.array_equal(step(rows), step(rows)) and np.array_equal(rows, before)
 
 
 @pytest.mark.parametrize("n", [4, 9, 16])
@@ -72,39 +76,39 @@ def test_self_duality_exhaustive(n):
     rows = ((np.arange(2**n)[:, None] >> np.arange(n)[None, :]) & 1).astype(np.uint8)
     words = packed.pack_bits(rows)
     comp = packed.pack_bits(1 - rows)
-    bits = np.array(ca.RULE_232.outputs, dtype=np.uint8)
+    bits = np.array(ca.rule_from_wolfram(232).outputs, dtype=np.uint8)
     stepped = packed.unpack_bits(packed.step_elementary(words, n, bits), n)
     comp_stepped = packed.unpack_bits(packed.step_elementary(comp, n, bits), n)
     assert np.array_equal(1 - stepped, comp_stepped)
 
 
 def test_self_duality_tlv_exhaustive_small():
-    m = 4
-    for u in range(2**m):
-        for l in range(2**m):
-            cfg = ca.TlvConfig(
-                ca.BitConfig([(u >> i) & 1 for i in range(m)]),
-                ca.BitConfig([(l >> i) & 1 for i in range(m)]))
-            assert ca.step_tlv(cfg.complement()) == ca.step_tlv(cfg).complement()
+    n = 8  # two strings of 4 cells, all 2^8 configurations
+    rows = ((np.arange(2**n)[:, None] >> np.arange(n)[None, :]) & 1).astype(np.uint8)
+    stepped = packed.unpack_bits(packed.step_tlv(packed.pack_bits(rows), n // 2), n)
+    comp_stepped = packed.unpack_bits(packed.step_tlv(packed.pack_bits(1 - rows), n // 2), n)
+    assert np.array_equal(1 - stepped, comp_stepped)
 
 
 def test_noise_edge_cases_and_determinism():
-    cfg = ca.BitConfig("010011")
-    same = ca.apply_bitflip_noise(cfg, ca.NoiseParams(0.0, 1, 2), step=3)
-    assert same == cfg
-    flipped = ca.apply_bitflip_noise(cfg, ca.NoiseParams(1.0, 1, 2), step=3)
-    assert flipped == cfg.complement()
-    a = ca.apply_bitflip_noise(cfg, ca.NoiseParams(0.5, 9, 4), step=1)
-    b = ca.apply_bitflip_noise(cfg, ca.NoiseParams(0.5, 9, 4), step=1)
+    # rule 204 is the identity, so each state shows the noise alone
+    still = list(ca.orbit_lines(204, ca.noisy_orbit(204, 6, 0.0, 3, seed=1, trial_index=2)))
+    assert still == ["000000"] * 4
+    flipped = list(ca.orbit_lines(204, ca.noisy_orbit(204, 6, 1.0, 3, seed=1, trial_index=2)))
+    assert flipped == ["000000", "111111", "000000", "111111"]
+    a = list(ca.orbit_lines(204, ca.noisy_orbit(204, 6, 0.5, 5, seed=9, trial_index=4)))
+    b = list(ca.orbit_lines(204, ca.noisy_orbit(204, 6, 0.5, 5, seed=9, trial_index=4)))
     assert a == b
-    with pytest.raises(ValueError):
-        ca.NoiseParams(1.5)
+    with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+        ca.noisy_orbit(204, 6, 1.5, 3)
 
 
 def test_tlv_noise_uses_both_strings():
-    cfg = ca.TlvConfig.zeros(16)
-    out = ca.apply_bitflip_noise(cfg, ca.NoiseParams(1.0, 0, 0), step=1)
-    assert out == cfg.complement()
+    # all-1 and all-0 are fixed points, so p = 1 alternates between them
+    lines = list(ca.orbit_lines("tlv", ca.noisy_orbit("tlv", 16, 1.0, 2)))
+    assert lines == ["00000000|00000000", "11111111|11111111", "00000000|00000000"]
+    assert list(ca.orbit_lines("tlv", ca.noisy_orbit("tlv", 16, 0.0, 2))) == \
+        ["00000000|00000000"] * 3
 
 
 def test_flip_time_single_cell_is_geometric():
@@ -166,23 +170,38 @@ def test_flip_times_match_recorded_arrays(case):
 
 def _orbit_flip_time(rule, n, p, seed, trial, max_steps):
     """First step whose post-update state has a strict majority of 1s, from the
-    unpacked noisy orbit; -1 if none within max_steps."""
-    orbit = ca.noisy_orbit(rule, n, p, max_steps, seed=seed, trial_index=trial)
+    unpacked oracle orbit; -1 if none within max_steps."""
+    orbit = oracles.noisy_orbit(rule, n, p, max_steps, seed, trial)
     for t, state in enumerate(orbit):
-        if t and 2 * state.ones_count() > n:
+        if t and 2 * int(state.sum()) > n:
             return t
     return -1
 
 
+ORBIT_CASES = pytest.mark.parametrize(
+    "rule, n", [*(("tlv", n) for n in (2, 4, 62, 64, 66, 130)),
+                *((code, n) for code in (232, 184) for n in (3, 63, 64, 65, 129))])
+
+
 @pytest.mark.parametrize("p", [0.0, 1 / 16, 1 / 3, 1.0])
-@pytest.mark.parametrize("rule, n", [*(("tlv", n) for n in (2, 4, 62, 64, 66, 130)),
-                                     *((code, n) for code in (232, 184)
-                                       for n in (3, 63, 64, 65, 129))])
+@ORBIT_CASES
 def test_batch_flip_times_match_the_unpacked_orbit(rule, n, p):
     trials, max_steps, seed = 6, 40, 1000 + n
     batch = ca._batch_flip_times(n, rule, p, seed, np.arange(trials), max_steps)
     oracle = [_orbit_flip_time(rule, n, p, seed, trial, max_steps) for trial in range(trials)]
     assert batch.tolist() == oracle
+
+
+@pytest.mark.parametrize("p", [0.0, 1 / 16, 1 / 3, 1.0])
+@ORBIT_CASES
+def test_noisy_orbit_matches_the_oracle_orbit(rule, n, p):
+    steps, seed = 40, 1000 + n
+    for trial in (0, 5):
+        got = list(ca.noisy_orbit(rule, n, p, steps, seed=seed, trial_index=trial))
+        expect = oracles.noisy_orbit(rule, n, p, steps, seed, trial)
+        assert len(got) == len(expect) == steps + 1
+        for state, oracle_state in zip(got, expect):
+            assert state.dtype == np.uint8 and np.array_equal(state, oracle_state)
 
 
 def test_flip_time_stats_invariants():
@@ -248,20 +267,20 @@ def test_erosion_detects_non_eroding():
 
 
 def test_orbit_lines_format():
-    lines = list(ca.orbit_lines(ca.noisy_orbit("tlv", 8, 0.3, 3, seed=2)))
+    lines = list(ca.orbit_lines("tlv", ca.noisy_orbit("tlv", 8, 0.3, 3, seed=2)))
     assert len(lines) == 4
     assert all(len(line) == 9 and line[4] == "|" for line in lines)
-    lines = list(ca.orbit_lines(ca.noisy_orbit(232, 8, 0.3, 3, seed=2)))
+    lines = list(ca.orbit_lines(232, ca.noisy_orbit(232, 8, 0.3, 3, seed=2)))
     assert all(len(line) == 8 and set(line) <= {"0", "1"} for line in lines)
 
 
 def test_orbit_refuses_negative_steps_at_the_call():
     with pytest.raises(ValueError, match="steps must be non-negative"):
         ca.noisy_orbit(232, 8, 0.3, -3)
-    assert [str(s) for s in ca.noisy_orbit(232, 8, 0.3, 0)] == ["00000000"]
+    assert list(ca.orbit_lines(232, ca.noisy_orbit(232, 8, 0.3, 0))) == ["00000000"]
 
 
 def test_orbit_determinism():
-    a = [str(s) for s in ca.noisy_orbit(232, 16, 0.2, 10, seed=4, trial_index=7)]
-    b = [str(s) for s in ca.noisy_orbit(232, 16, 0.2, 10, seed=4, trial_index=7)]
+    a = list(ca.orbit_lines(232, ca.noisy_orbit(232, 16, 0.2, 10, seed=4, trial_index=7)))
+    b = list(ca.orbit_lines(232, ca.noisy_orbit(232, 16, 0.2, 10, seed=4, trial_index=7)))
     assert a == b

@@ -12,7 +12,7 @@ from qcadc.circuits import (Circuit, NoiseModel, QcaStepper,
                             run_qca_trajectory, QcaRunSpec, trajectory_rng,
                             _toffoli_network)
 from qcadc.qsim import Gate, StateVector, apply_gate, expectation_z_sum
-from oracles import toffoli_matrix
+from oracles import step_elementary, step_tlv, toffoli_matrix
 
 
 def all_basis_rows(n):
@@ -71,13 +71,7 @@ def test_circuit_matches_classical_rule_exhaustively(scheme, n):
     image = basis_action(np.arange(2**n), gate_qubits(circuit))  # |b>|0>, now bits low
     out = ((image[:, None] >> np.arange(2 * n)) & 1).astype(np.uint8)
     for row_in, row_out in zip(inputs, out):
-        if scheme == "q232":
-            expect = ca.step_elementary(ca.BitConfig(row_in), ca.RULE_232).cells
-        else:
-            m = n // 2
-            nxt = ca.step_tlv(ca.TlvConfig(ca.BitConfig(row_in[:m]),
-                                           ca.BitConfig(row_in[m:])))
-            expect = np.concatenate([nxt.upper.cells, nxt.lower.cells])
+        expect = step_elementary(row_in, 232) if scheme == "q232" else step_tlv(row_in)
         assert np.array_equal(row_out[n:], expect)
         # decoupling: the now register carries input XOR update
         assert np.array_equal(row_out[:n], row_in ^ expect)
@@ -176,7 +170,7 @@ def test_statevector_decoupling_exhaustive_small():
         nonzero = np.nonzero(np.abs(state.amps) > 1e-12)[0]
         assert nonzero.size == 1  # still a basis state: registers factorized
         bits = np.array([(s >> i) & 1 for i in range(n)], dtype=np.uint8)
-        expect = ca.step_elementary(ca.BitConfig(bits), ca.RULE_232).cells
+        expect = step_elementary(bits, 232)
         future_bits = (nonzero[0] >> n) & ((1 << n) - 1)
         assert future_bits == sum(int(b) << i for i, b in enumerate(expect))
 

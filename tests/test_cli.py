@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, determinism, config merge."""
 import json
+from pathlib import Path
 
 import pytest
 
@@ -194,6 +195,40 @@ def test_campaign_refuses_lattices_below_the_backend_minimum(tmp_path, capsys, b
     assert code == 1 and out == ""
     assert f"the {backend} backend needs n >= {1 if backend == 'ca' else 4}, got {n}" in err
     assert not (tmp_path / "out.csv").exists()
+
+
+def test_campaign_refuses_odd_tlv_lattices(tmp_path, capsys):
+    cfg = tmp_path / "campaign.json"
+    cfg.write_text(json.dumps({"backend": "ca", "scheme": "tlv", "grid": [[8, "0.1"], [7, "0.1"]],
+                               "trials": 2}))
+    code, out, err = run_cli(capsys, "campaign", "--config", str(cfg),
+                             "--output", str(tmp_path / "out"))
+    assert code == 1 and out == ""
+    assert "two-line voting needs an even total cell count, got 7" in err
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("dump", [False, True])
+def test_qca_run_refuses_odd_n(tmp_path, capsys, dump):
+    extra = ("--dump-circuit", str(tmp_path / "circuit.txt")) if dump else ()
+    code, out, err = run_cli(capsys, "qca-run", "--scheme", "qtlv", "--n", "7",
+                             "--trials", "2", *extra)
+    assert code == 1 and out == ""
+    assert "needs an even cell count >= 4" in err
+    assert not (tmp_path / "circuit.txt").exists()
+
+
+# Orbit dumps recorded from the unpacked orbit engine that ca-orbit used
+# before it moved onto the packed kernels.
+ORBITS = json.loads((Path(__file__).parent / "data" / "ca_orbits.json").read_text())
+
+
+@pytest.mark.parametrize("case", ORBITS, ids=[f"{c['rule']}-{c['n']}-{c['p']}" for c in ORBITS])
+def test_ca_orbit_dumps_are_pinned(capsys, case):
+    code, out, _ = run_cli(capsys, "ca-orbit", "--rule", case["rule"], "--n", str(case["n"]),
+                           "--p", case["p"], "--steps", "60", "--seed", "5", "--trial", "3")
+    assert code == 0
+    assert out == "\n".join(case["lines"]) + "\n"
 
 
 def test_ca_orbit_refuses_negative_steps(capsys):

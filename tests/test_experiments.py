@@ -76,17 +76,29 @@ def test_campaign_row_histogram_consistency():
     assert abs(hist_mean - row.mean) < 1e-9
 
 
-def test_campaign_records_failures_in_row():
-    # odd n passes config validation but two-line voting rejects it
-    config = CampaignConfig("ca", "tlv", ((7, 0.1), (8, 0.1)), trials=3, seed=1, max_steps=50)
-    rows = run_campaign(config)
+def _fail_at_n6(monkeypatch):
+    # a grid point whose engine call raises, as a lattice the engine refuses would
+    flip_time_stats = experiments.ca.flip_time_stats
+
+    def stats(n, *args):
+        if n == 6:
+            raise ValueError("two-line voting needs an even total cell count")
+        return flip_time_stats(n, *args)
+    monkeypatch.setattr(experiments.ca, "flip_time_stats", stats)
+
+
+def test_campaign_records_failures_in_row(monkeypatch):
+    _fail_at_n6(monkeypatch)
+    config = CampaignConfig("ca", "tlv", ((6, 0.1), (8, 0.1)), trials=3, seed=1, max_steps=50)
+    rows = run_campaign(config, workers=1)
     assert rows[0].error is not None and rows[0].mean is None
     assert rows[1].error is None
 
 
-def test_campaign_error_rows_keep_the_exception_type():
-    config = CampaignConfig("ca", "tlv", ((7, 0.1),), trials=2, seed=1)
-    row = run_campaign(config)[0]
+def test_campaign_error_rows_keep_the_exception_type(monkeypatch):
+    _fail_at_n6(monkeypatch)
+    config = CampaignConfig("ca", "tlv", ((6, 0.1),), trials=2, seed=1)
+    row = run_campaign(config, workers=1)[0]
     assert row.error == "ValueError: two-line voting needs an even total cell count"
     assert json.loads(rows_to_json([row]))["rows"][0]["error"] == row.error
 

@@ -42,3 +42,10 @@ def test_cli_import_loads_no_scipy():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, check=True)
     assert result.stdout.strip() == "[]"
+
+
+def test_every_exported_name_resolves():
+    import qcadc
+    assert len(set(qcadc.__all__)) == len(qcadc.__all__)
+    missing = [name for name in qcadc.__all__ if not hasattr(qcadc, name)]
+    assert missing == []

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcadc import ca, packed, rng
-from oracles import rotate_int, uniform_words
+from oracles import rotate_int, step_elementary, step_tlv, uniform_words
 
 
 def _random_rows(trials, n, seed):
@@ -46,8 +46,7 @@ def test_packed_elementary_step_matches_reference(code, n):
                                      np.array(rule.outputs, dtype=np.uint8))
     got = packed.unpack_bits(stepped, n)
     for row, out in zip(rows, got):
-        expect = ca.step_elementary(ca.BitConfig(row), rule)
-        assert np.array_equal(out, expect.cells)
+        assert np.array_equal(out, step_elementary(row, code))
 
 
 @pytest.mark.parametrize("m", [3, 6, 32, 64, 70])
@@ -56,12 +55,8 @@ def test_packed_tlv_step_matches_reference(m):
     lowers = _random_rows(6, m, m + 1)
     stepped = packed.step_tlv(packed.pack_bits(np.hstack([uppers, lowers])), m)
     got = packed.unpack_bits(stepped, 2 * m)
-    got_u, got_l = got[:, :m], got[:, m:]
     for i in range(uppers.shape[0]):
-        cfg = ca.TlvConfig(ca.BitConfig(uppers[i]), ca.BitConfig(lowers[i]))
-        nxt = ca.step_tlv(cfg)
-        assert np.array_equal(got_u[i], nxt.upper.cells)
-        assert np.array_equal(got_l[i], nxt.lower.cells)
+        assert np.array_equal(got[i], step_tlv(np.concatenate([uppers[i], lowers[i]])))
 
 
 def test_bernoulli_matrix_deterministic_and_batch_independent():

@@ -1,6 +1,8 @@
 """Reversible 16-state extensions and self-duality."""
 from qcadc import reversible
-from qcadc.ca import RULE_184, RULE_232, rule_from_wolfram
+from qcadc.ca import rule_from_wolfram
+
+RULE_232, RULE_184 = rule_from_wolfram(232), rule_from_wolfram(184)
 
 
 def test_extend_rule_232_example():
