@@ -87,6 +87,7 @@ def noisy_orbit(rule: RuleKind, n: int, p: float, steps: int, seed: int = 0,
     """
     if steps < 0:
         raise ValueError(f"steps must be non-negative, got {steps}")
+    rng.check_seed(seed, trial_index)
     step = _rule_step(rule, n, p)
     trial = np.array([trial_index], dtype=np.int64)
 
@@ -139,6 +140,7 @@ def _batch_flip_times(n: int, rule: RuleKind, p: float, seed: int,
         raise ValueError("max_steps must be positive")
     step = _rule_step(rule, n, p)
     trials = np.asarray(trial_indices, dtype=np.int64)
+    rng.check_seed(seed, int(trials.min(initial=0)))
     result = np.full(trials.shape, -1, dtype=np.int64)
     active = np.arange(trials.size)  # positions in ``trials`` of the running trials
     live = trials                    # their trial indices

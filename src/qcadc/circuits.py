@@ -31,6 +31,7 @@ from .qsim import (Gate, NoiseModel, SparseRegister, StateVector, apply_phenom_c
 # Gate-level names bound here for perfbench/tracing.py, which wraps them in this module.
 from .qsim import (apply_depolarizing_after_gate, apply_gate,  # noqa: F401
                    expectation_z_sum, measure_reset)
+from .rng import check_seed
 
 
 @dataclass(frozen=True)
@@ -381,10 +382,11 @@ class QcaStepper:
     those trajectories apply the step gate by gate on the 2n-qubit
     register.  Every gate and kick there is a signed basis permutation and
     the reset keeps a subset of the terms, so the register never holds more
-    than the initial state's two nonzero amplitudes: it is a
-    ``SparseRegister``, and each gate is a bit operation on its indices.
-    The reset sums at most two nonzero terms, which round the same in any
-    order, so outcomes and amplitudes are bit-identical to a dense register.
+    than the initial state's two nonzero amplitudes, which never meet: it is
+    a ``SparseRegister`` of indices and magnitudes, and each gate is a bit
+    operation on its indices.  The reset sums at most two nonzero terms,
+    which round the same in any order, so outcomes and magnitudes are
+    bit-identical to a dense register.
     """
 
     def __init__(self, scheme: str, n: int):
@@ -426,6 +428,11 @@ class QcaStepper:
         state.amps[0] = math.cos(phi)
         state.amps[-1] = 1j * math.sin(phi)
         return state
+
+    def initial_register(self, phi: float) -> SparseRegister:
+        """``initial_state(phi)`` as magnitudes on the 2n-qubit register, zero terms dropped."""
+        terms = [(0, math.cos(phi)), ((1 << self.n) - 1, abs(math.sin(phi)))]
+        return SparseRegister(2 * self.n, *zip(*(term for term in terms if term[1])))
 
     def ideal_fidelity(self, state: StateVector, phi: float) -> float:
         """Overlap with the undisturbed logical state."""
@@ -477,10 +484,10 @@ class QcaStepper:
         """The step's gates, each followed by its kick draw, then the now-register reset.
 
         The register's one or two basis indices are held as ints while the
-        gates run.  The reset outcome is ``two_term_outcome``'s draw, and the
-        weights, the renormalised amplitudes and sum<Z> are
-        ``measure_reset``'s numpy expressions on the kept terms, so every bit
-        matches a dense register.
+        gates run; a kick only flips index bits.  The reset outcome is
+        ``two_term_outcome``'s draw, and the kept magnitudes are scaled by
+        1 / sqrt(weight) as numpy divides complex amplitudes by a real
+        scalar, so both match ``measure_reset`` on a dense register bit for bit.
         """
         draw = rng.random
         count = len(register.index)
@@ -497,25 +504,25 @@ class QcaStepper:
                 a, b = register.index[0], register.index[-1]
         index = [a, b][:count]
         shift, mask = regmap.now[0], (1 << self.n) - 1
-        weights = (np.abs(register.amps) ** 2).tolist()
+        mags = register.amps
+        weights = (mags * mags).tolist()
         if abs(math.sqrt(sum(weights)) - 1.0) > 1e-10:
             raise AssertionError("statevector norm drifted past 1e-10")
         bins = [(i >> shift) & mask for i in index]
         outcome, weight = two_term_outcome(bins, weights, draw)
         keep = [j for j, o in enumerate(bins) if o == outcome]
-        amps = register.amps if len(keep) == count else register.amps[keep]
-        register.amps = amps / math.sqrt(weight)
+        mags = (mags if len(keep) == count else mags[keep]) * (1.0 / math.sqrt(weight))
+        register.amps = mags
         register.index = [index[j] & ~(mask << shift) for j in keep]
         future = [(index[j] >> regmap.future[0]) & mask for j in keep]
-        return float((np.abs(register.amps) ** 2) @ self._weights[future])
+        return float((mags ** 2) @ self._weights[future])
 
     def run_trajectory(self, noise: NoiseModel, phi: float, max_steps: int,
                        rng: np.random.Generator) -> int | None:
         """First step t with sum_i <Z_i> < 0 on the post-step now register."""
         regmap = LogicalRegisterMap.initial(self.n)
-        state = self.initial_state(phi)
-        if noise.kind == "depolarizing":
-            state = SparseRegister.embed(state, 2 * self.n)
+        state = (self.initial_register(phi) if noise.kind == "depolarizing"
+                 else self.initial_state(phi))
         for t in range(1, max_steps + 1):
             zsum = self.step_with_zsum(state, regmap, noise, rng)
             regmap = regmap.swapped()
@@ -547,6 +554,7 @@ def two_term_outcome(bins: list[int], weights: list[float], draw) -> tuple[int, 
 
 
 def trajectory_rng(seed: int, trial_index: int) -> np.random.Generator:
+    check_seed(seed, trial_index)
     return default_rng(SeedSequence(entropy=seed, spawn_key=(trial_index,)))
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import ca
 from .circuits import NoiseModel, QcaStepper, trajectory_rng
-from .rng import derive_seed
+from .rng import check_seed, derive_seed
 
 
 @dataclass(frozen=True)
@@ -84,6 +84,7 @@ class CampaignConfig:
             raise ValueError(f"unknown quantum noise kind {self.noise!r}")
         if self.trials < 1:
             raise ValueError("need at least one trial")
+        check_seed(self.seed)
         if self.max_steps <= 0:
             raise ValueError("max_steps must be positive")
         least = 4 if self.backend == "qca" else 1  # the step circuits need n >= 4

@@ -4,8 +4,8 @@ Pure states only: noise channels are unravelled by sampling (bit flips and
 depolarizing Pauli strings) or applied as the fixed unitary they are
 (coherent X rotations).  Gates act in place through axis views of the
 amplitude tensor; qubit 0 is the least-significant bit of the basis index.
-A ``SparseRegister`` stores only the nonzero amplitudes of a register that
-sees nothing but signed basis permutations and resets.
+A ``SparseRegister`` stores only the basis indices and amplitude magnitudes
+of a register that sees nothing but signed basis permutations and resets.
 
 Ensemble statistics come from averaging many trajectories with independent
 RNG streams; a density-matrix simulator is deliberately out of scope (a
@@ -20,8 +20,6 @@ import numpy as np
 
 SQRT2_INV = 1.0 / math.sqrt(2.0)
 T_PHASE = complex(math.cos(math.pi / 4), math.sin(math.pi / 4))
-# Z's phase as numpy applies it: ``v *= -1.0`` on complex amplitudes multiplies by -1 + 0j.
-_MINUS_ONE = complex(-1.0, 0.0)
 
 GATE_KINDS = ("X", "Y", "Z", "H", "T", "TDG", "RX", "CNOT", "TOFFOLI")
 
@@ -80,13 +78,14 @@ class StateVector:
 
 
 class SparseRegister:
-    """The nonzero amplitudes of an m-qubit register: ``amps[j]`` on basis index ``index[j]``.
+    """|amplitude| ``amps[j]`` on basis index ``index[j]``, for at most two indices.
 
-    It holds at most two entries.  That covers any state reached from a
-    two-term superposition by signed basis permutations (X, Y, Z, CNOT,
-    Toffoli) and projective resets, none of which adds a term, and it keeps
-    every sum over the register a sum of at most two nonzero terms, which
-    rounds the same in any order.
+    Signed basis permutations (X, Y, Z, CNOT, Toffoli) and projective resets
+    add no term and make no two terms meet, so from a two-term state every
+    sum over the register has at most two nonzero terms, which round the
+    same in any order, and reads only magnitudes.  Amplitudes on the real or
+    imaginary axis stay there, so each magnitude is exactly a component's
+    absolute value.
     """
 
     __slots__ = ("num_qubits", "index", "amps")
@@ -94,9 +93,9 @@ class SparseRegister:
 
     def __init__(self, num_qubits: int, index, amps):
         index = [int(b) for b in index]
-        amps = np.asarray(amps, dtype=np.complex128)
+        amps = np.asarray(amps, dtype=np.float64)
         if amps.shape != (len(index),):
-            raise ValueError("need one amplitude per basis index")
+            raise ValueError("need one magnitude per basis index")
         if len(index) > self.MAX_ENTRIES:
             raise ValueError(f"a sparse register holds at most {self.MAX_ENTRIES} "
                              f"amplitudes, got {len(index)}")
@@ -106,35 +105,12 @@ class SparseRegister:
         self.index = index
         self.amps = amps
 
-    @classmethod
-    def embed(cls, state: StateVector, num_qubits: int) -> "SparseRegister":
-        """``state`` on qubits 0..state.num_qubits-1 of the register, the rest |0>."""
-        if num_qubits < state.num_qubits:
-            raise ValueError(f"cannot embed {state.num_qubits} qubits in {num_qubits}")
-        index = np.flatnonzero(state.amps)
-        return cls(num_qubits, index, state.amps[index])
-
     def apply_pauli(self, qubit: int, label: str) -> None:
-        """X, Y or Z on one qubit, with ``apply_gate``'s amplitude arithmetic.
-
-        Each amplitude is multiplied as a Python complex by the complex
-        scalar numpy multiplies it by in ``apply_gate`` (-1j and 1j for Y,
-        -1.0 + 0j for Z).  Every partial product is exact, so the result is
-        the same bits, signed zeros included.
-        """
+        """X, Y or Z on one qubit: X and Y flip its bit in every index; no magnitude changes."""
         if label not in ("X", "Y", "Z"):
             raise ValueError(f"unknown Pauli label {label!r}")
-        bit = 1 << qubit
-        if label != "X":
-            if label == "Y":  # |0> -> i|1>, |1> -> -i|0>
-                amps = [-1j * a if b & bit else 1j * a
-                        for b, a in zip(self.index, self.amps.tolist())]
-            else:
-                amps = [a * _MINUS_ONE if b & bit else a
-                        for b, a in zip(self.index, self.amps.tolist())]
-            self.amps = np.array(amps, dtype=np.complex128)
         if label != "Z":
-            self.index = [b ^ bit for b in self.index]
+            self.index = [b ^ (1 << qubit) for b in self.index]
 
 
 def _swap_halves(view: np.ndarray) -> None:
@@ -247,7 +223,10 @@ def apply_phenom_coherent(state: StateVector, qubits: tuple[int, ...], theta: fl
     return state
 
 
-_PAULI_LABELS = "0XYZ"
+# The Pauli string of each index j < 4^k on a k-qubit support: label i from bits
+# 2i and 2i+1 of j ('0XYZ'), acting on the support's i-th qubit, '0' meaning identity.
+_KICK_LABELS = {k: ["".join("0XYZ"[j >> 2 * i & 3] for i in range(k)) for j in range(4**k)]
+                for k in (2, 3)}
 
 
 def draw_depolarizing_kick(k: int, p: float, rng: np.random.Generator) -> str | None:
@@ -264,17 +243,13 @@ def draw_depolarizing_kick(k: int, p: float, rng: np.random.Generator) -> str | 
 
 
 def draw_kick_labels(k: int, rng: np.random.Generator) -> str:
-    """One of the 4^k - 1 non-identity Pauli strings on k qubits, drawn uniformly.
+    """One of the 4^k - 1 non-identity Pauli strings on k = 2 or 3 qubits, drawn uniformly.
 
-    One ``rng.integers(1, 4**k)`` draw; label j, taken from bits 2j and
-    2j+1 of it, acts on the gate's j-th qubit, '0' meaning identity.
+    One ``rng.integers(1, 4**k)`` draw picks the string's index j; label i,
+    taken from bits 2i and 2i+1 of j, acts on the gate's i-th qubit, '0'
+    meaning identity.
     """
-    index = int(rng.integers(1, 4**k))
-    labels = ""
-    for _ in range(k):
-        labels += _PAULI_LABELS[index & 3]
-        index >>= 2
-    return labels
+    return _KICK_LABELS[k][rng.integers(1, 4**k)]
 
 
 def apply_depolarizing_after_gate(state: StateVector, support: tuple[int, ...], p: float,

@@ -36,6 +36,13 @@ def mix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
+def check_seed(seed: int, trial_index: int = 0) -> None:
+    """Refuse a negative seed or trial index, which the hashes would wrap modulo 2^64."""
+    for name, value in (("seed", seed), ("trial index", trial_index)):
+        if value < 0:
+            raise ValueError(f"{name} must be non-negative, got {value}")
+
+
 def derive_seed(seed: int, stream: int) -> int:
     """Independent stream seed for a sub-experiment (grid point, shard, ...)."""
     return mix64((seed & _MASK) + (stream + 1) * 0x9E3779B97F4A7C15)

@@ -130,6 +130,15 @@ def test_flip_time_rejects_bad_max_steps():
         ca.flip_time_trial(4, 232, 0.1, seed=0, max_steps=0)
 
 
+def test_negative_seeds_and_trial_indices_are_refused():
+    with pytest.raises(ValueError, match="trial index must be non-negative, got -1"):
+        ca.flip_time_trial(4, 232, 0.1, seed=0, trial_index=-1)
+    with pytest.raises(ValueError, match="seed must be non-negative, got -5"):
+        ca.flip_time_stats(4, "tlv", 0.1, trials=3, seed=-5)
+    with pytest.raises(ValueError, match="trial index must be non-negative, got -2"):
+        ca.noisy_orbit(232, 6, 0.1, 3, seed=0, trial_index=-2)
+
+
 @pytest.mark.parametrize("p", [1.5, -0.5, math.nan])
 def test_flip_time_rejects_p_outside_unit_interval(p):
     with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):

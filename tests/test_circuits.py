@@ -194,6 +194,17 @@ def test_initial_state_and_phi_validation():
         QcaRunSpec("q232", 4, NoiseModel("none"), phi=0.1, seed=0, max_steps=0)
 
 
+@pytest.mark.parametrize("seed, trial, message", [
+    (-1, 0, "seed must be non-negative, got -1"),
+    (0, -7, "trial index must be non-negative, got -7"),
+])
+def test_trajectory_streams_refuse_negative_seeds_and_trials(seed, trial, message):
+    spec = QcaRunSpec("q232", 4, NoiseModel("depolarizing", 0.1), phi=0.2, seed=seed,
+                      trial_index=trial, max_steps=5)
+    with pytest.raises(ValueError, match=message):
+        run_qca_trajectory(spec)
+
+
 def test_run_qca_trajectory_deterministic():
     spec = QcaRunSpec("q232", 4, NoiseModel("incoherent", 0.3), phi=0.2, seed=9,
                       trial_index=3, max_steps=500)

@@ -237,6 +237,32 @@ def test_ca_orbit_refuses_negative_steps(capsys):
     assert "steps must be non-negative, got -3" in err
 
 
+@pytest.mark.parametrize("args, message", [
+    (("ca-orbit", "--rule", "232", "--trial", "-1"), "trial index must be non-negative, got -1"),
+    (("ca-orbit", "--rule", "tlv", "--seed", "-2"), "seed must be non-negative, got -2"),
+    (("flip-time", "--rule", "tlv", "--n", "8", "--trials", "3", "--seed", "-3"),
+     "seed must be non-negative, got -3"),
+    (("qca-run", "--scheme", "q232", "--n", "4", "--trials", "2", "--seed", "-3"),
+     "seed must be non-negative, got -3"),
+])
+def test_negative_seeds_and_trial_indices_exit_1(capsys, args, message):
+    code, out, err = run_cli(capsys, *args)
+    assert code == 1 and out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize("backend, noise", [("qca", "depolarizing"), ("ca", "bitflip")])
+def test_campaign_refuses_a_negative_seed(tmp_path, capsys, backend, noise):
+    cfg = tmp_path / "campaign.json"
+    cfg.write_text(json.dumps({"backend": backend, "scheme": "232", "grid": [[4, 0.1]],
+                               "noise": noise, "trials": 2, "seed": -4}))
+    code, out, err = run_cli(capsys, "campaign", "--config", str(cfg),
+                             "--output", str(tmp_path / "out"))
+    assert code == 1 and out == ""
+    assert "seed must be non-negative, got -4" in err
+    assert not (tmp_path / "out.csv").exists()
+
+
 # Rows recorded from the qca-run trajectory loop before it was routed
 # through the campaign's; a sampled angle and a fixed --phi draw different
 # amounts from each trajectory's stream.

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcadc import qsim
 from qcadc.circuits import (ExactBlockSum, LogicalRegisterMap, NoiseModel, QcaStepper,
                             build_step, trajectory_rng, two_term_outcome)
 from qcadc.experiments import _qca_flip_times
@@ -120,12 +121,21 @@ def _future_columns(amps, n, now_is_lower):
     return block.T if now_is_lower else block
 
 
+def _dense_register(n, phi):
+    """cos(phi)|0..0> + i sin(phi)|1..1> on the now qubits of the 2n-qubit register."""
+    register = StateVector(2 * n, np.zeros(1 << 2 * n, dtype=complex))
+    register.amps[0] = math.cos(phi)
+    register.amps[(1 << n) - 1] = 1j * math.sin(phi)
+    return register
+
+
 def _future_state(state, n, regmap):
-    """The post-step now register as an n-qubit vector; a sparse register's now qubits are 0."""
+    """The post-step now register as an n-qubit vector; a sparse register's now qubits are 0
+    and its entries are magnitudes."""
     if not isinstance(state, SparseRegister):
         return state.amps
     assert all(b >> regmap.now[0] & ((1 << n) - 1) == 0 for b in state.index)
-    amps = np.zeros(1 << n, dtype=complex)
+    amps = np.zeros(1 << n)
     amps[[b >> regmap.future[0] & ((1 << n) - 1) for b in state.index]] = state.amps
     return amps
 
@@ -148,24 +158,24 @@ def _outcomes_leaving(pre, post, n, now_is_lower):
                          ids=lambda m: f"{m.kind}-{m.p}" if m.kind == "depolarizing" else m.kind)
 def test_step_matches_gate_level_register(scheme, n, noise):
     stepper = QcaStepper(scheme, n)
-    size = 1 << n
     for trial in range(3):
         rng, oracle_rng = trajectory_rng(11, trial), trajectory_rng(11, trial)
         phi = rng.uniform(-math.pi / 4, math.pi / 4)
         oracle_rng.uniform(-math.pi / 4, math.pi / 4)
         regmap = LogicalRegisterMap.initial(n)
-        state = stepper.initial_state(phi)
         if noise.kind == "depolarizing":
-            state = SparseRegister.embed(state, 2 * n)
-        register = StateVector(2 * n, np.zeros(size * size, dtype=complex))
-        register.amps[0] = math.cos(phi)
-        register.amps[size - 1] = 1j * math.sin(phi)
+            state = stepper.initial_register(phi)
+        else:
+            state = stepper.initial_state(phi)
+        register = _dense_register(n, phi)
         for _ in range(25):
             now_is_lower = regmap.now[0] == 0
             zsum = stepper.step_with_zsum(state, regmap, noise, rng)
             pre, oracle_zsum = _oracle_step(scheme, n, register, regmap, noise, oracle_rng)
             post = _future_columns(register.amps, n, now_is_lower)[0]
             future = _future_state(state, n, regmap)
+            if noise.kind == "depolarizing":  # the sparse register holds magnitudes
+                pre, post = np.abs(pre), np.abs(post)
             assert np.abs(future - post).max() < 1e-12
             assert abs(zsum - oracle_zsum) < 1e-12
             outcomes = _outcomes_leaving(pre, post, n, now_is_lower)
@@ -174,7 +184,11 @@ def test_step_matches_gate_level_register(scheme, n, noise):
                 nonzero = np.flatnonzero(register.amps)
                 order = np.argsort(state.index)
                 assert nonzero.tolist() == sorted(state.index)
-                assert register.amps[nonzero].tobytes() == state.amps[order].tobytes()
+                amps = register.amps[nonzero]
+                assert np.abs(amps).tobytes() == state.amps[order].tobytes()
+                # Each amplitude lies on the real or the imaginary axis, so its
+                # magnitude is one component's absolute value, exactly.
+                assert ((amps.real == 0) | (amps.imag == 0)).all()
             regmap = regmap.swapped()
 
 
@@ -186,13 +200,13 @@ def test_depolarizing_step_without_kicks_matches_noiseless_step(scheme):
     rng, register_rng = np.random.default_rng(3), np.random.default_rng(3)
     regmap = LogicalRegisterMap.initial(n)
     state = stepper.initial_state(0.4)
-    register = SparseRegister.embed(state, 2 * n)
+    register = stepper.initial_register(0.4)
     for _ in range(6):
         zsum = stepper.step_with_zsum(state, regmap, NoiseModel("none"), rng)
         register_zsum = stepper.step_with_zsum(register, regmap,
                                                NoiseModel("depolarizing", 0.0), register_rng)
         future = _future_state(register, n, regmap)
-        assert np.abs(state.amps - future).max() < 1e-12
+        assert np.abs(state.amps).tobytes() == future.tobytes()
         assert abs(zsum - register_zsum) < 1e-12
         regmap = regmap.swapped()
 
@@ -205,7 +219,7 @@ def test_step_refuses_a_state_of_the_wrong_size():
         stepper.step_with_zsum(stepper.initial_state(0.1), regmap,
                                NoiseModel("depolarizing", 0.1), rng)
     with pytest.raises(ValueError):
-        stepper.step_with_zsum(SparseRegister.embed(stepper.initial_state(0.1), 8), regmap,
+        stepper.step_with_zsum(stepper.initial_register(0.1), regmap,
                                NoiseModel("coherent", 0.1), rng)
 
 
@@ -216,6 +230,45 @@ def test_sparse_register_refuses_a_third_amplitude():
         SparseRegister(4, [3, 3], [0.6, 0.8])
     with pytest.raises(ValueError):
         SparseRegister(4, [16], [1.0])
-    state = StateVector(2, np.array([0.6, 0, 0, 0.8j]))
-    register = SparseRegister.embed(state, 4)
-    assert register.index == [0, 3] and register.amps.tolist() == [0.6, 0.8j]
+    register = SparseRegister(4, [0, 3], [0.6, 0.8])
+    assert register.index == [0, 3] and register.amps.tolist() == [0.6, 0.8]
+    assert register.amps.dtype == np.float64
+
+
+@pytest.mark.parametrize("phi", [0.3, -0.3, 0.0, -0.0])
+def test_initial_register_holds_the_dense_initial_magnitudes(phi):
+    stepper = QcaStepper("q232", 4)
+    register = stepper.initial_register(phi)
+    dense = _dense_register(4, phi).amps
+    assert register.index == np.flatnonzero(dense).tolist()
+    assert register.amps.tobytes() == np.abs(dense[register.index]).tobytes()
+
+
+@pytest.mark.parametrize("scheme", ["q232", "qtlv"])
+def test_every_depolarizing_kick_goes_through_apply_pauli_string(monkeypatch, scheme):
+    # Tracing counts kicks by wrapping qsim.apply_pauli_string, so the step must call it
+    # once for every string the dense oracle's kick draw returns on the same stream.
+    n, noise, phi, steps = 4, NoiseModel("depolarizing", 0.2), 0.3, 12
+    drawn, draw_kick = [], qsim.draw_depolarizing_kick
+    monkeypatch.setattr(qsim, "draw_depolarizing_kick",
+                        lambda *args: drawn.append(draw_kick(*args)) or drawn[-1])
+    for trial in range(3):
+        rng, register = trajectory_rng(5, trial), _dense_register(n, phi)
+        regmap = LogicalRegisterMap.initial(n)
+        for _ in range(steps):
+            _oracle_step(scheme, n, register, regmap, noise, rng)
+            regmap = regmap.swapped()
+    monkeypatch.undo()
+    applied, apply = [], qsim.apply_pauli_string
+    monkeypatch.setattr(qsim, "apply_pauli_string",
+                        lambda state, support, labels: applied.append(labels)
+                        or apply(state, support, labels))
+    stepper = QcaStepper(scheme, n)
+    for trial in range(3):
+        rng, state = trajectory_rng(5, trial), stepper.initial_register(phi)
+        regmap = LogicalRegisterMap.initial(n)
+        for _ in range(steps):
+            stepper.step_with_zsum(state, regmap, noise, rng)
+            regmap = regmap.swapped()
+    kicks = [labels for labels in drawn if labels is not None]
+    assert len(kicks) > 20 and applied == kicks
