@@ -130,11 +130,12 @@ class FlipTimeStats:
 
 
 def _batch_flip_times(n: int, rule: RuleKind, p: float, seed: int,
-                      trial_indices: np.ndarray, max_steps: int) -> np.ndarray:
+                      trial_indices: np.ndarray, max_steps: int,
+                      noise: Callable[[np.ndarray, int], np.ndarray] | None = None) -> np.ndarray:
     """Flip step per trial (first step whose post-update majority is 1), -1 if censored.
 
-    Rows of the still-running trials are compacted as trials flip, so each
-    step hashes noise for exactly those trials.
+    Rows of the still-running trials ``live`` are compacted as trials flip, so
+    each step draws flips for exactly those: ``noise(live, t)`` or the hash.
     """
     if max_steps <= 0:
         raise ValueError("max_steps must be positive")
@@ -148,7 +149,7 @@ def _batch_flip_times(n: int, rule: RuleKind, p: float, seed: int,
 
     need = n // 2  # strict majority means ones > n/2
     for t in range(1, max_steps + 1):
-        flips = rng.bernoulli_matrix(seed, live, t, n, p)
+        flips = rng.bernoulli_matrix(seed, live, t, n, p) if noise is None else noise(live, t)
         rows ^= packed.pack_bits(flips)
         rows = step(rows)
         flipped = packed.popcount(rows) > need

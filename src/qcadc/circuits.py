@@ -173,26 +173,30 @@ def _assemble(scheme: str, n: int, toffoli_layers: list[list[tuple[int, int, int
     return circuit
 
 
+def check_cell_count(n: int) -> None:
+    """Refuse a lattice the step circuits are not built for: odd n or n < 4."""
+    if n % 2 or n < 4:
+        raise ValueError(f"a quantized rule needs an even cell count >= 4, got {n}")
+
+
+_TOFFOLI_LAYERS = {"q232": _q232_toffoli_layers, "qtlv": _qtlv_toffoli_layers}
+
+
+def build_step(scheme: str, n: int) -> Circuit:
+    if scheme not in _TOFFOLI_LAYERS:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    check_cell_count(n)
+    return _assemble(scheme, n, _TOFFOLI_LAYERS[scheme](n))
+
+
 def build_q232_step(n: int) -> Circuit:
     """One quantized local-majority update: 3n Toffolis in 6 layers + n CNOTs."""
-    if n % 2 or n < 4:
-        raise ValueError("the quantized majority rule needs an even cell count >= 4")
-    return _assemble("q232", n, _q232_toffoli_layers(n))
+    return build_step("q232", n)
 
 
 def build_qtlv_step(n: int) -> Circuit:
     """One quantized two-line-voting update on strings of n/2 cells."""
-    if n % 2 or n < 4:
-        raise ValueError("quantized two-line voting needs an even cell count >= 4")
-    return _assemble("qtlv", n, _qtlv_toffoli_layers(n))
-
-
-def build_step(scheme: str, n: int) -> Circuit:
-    if scheme == "q232":
-        return build_q232_step(n)
-    if scheme == "qtlv":
-        return build_qtlv_step(n)
-    raise ValueError(f"unknown scheme {scheme!r}")
+    return build_step("qtlv", n)
 
 
 # ---------------------------------------------------------------------------
@@ -340,30 +344,15 @@ class ExactBlockSum:
 # Trajectory loop
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QcaRunSpec:
-    """One trajectory's worth of configuration.
-
-    The initial state is cos(phi)|0..0> + i sin(phi)|1..1> on the now
-    register with |phi| < pi/4, the future register all-0.
-    """
-    scheme: str
-    n: int
-    noise: NoiseModel
-    phi: float
-    seed: int
-    trial_index: int = 0
-    max_steps: int = 10_000
-
-    def __post_init__(self):
-        if not abs(self.phi) < math.pi / 4:
-            raise ValueError("the logical angle must satisfy |phi| < pi/4")
-        if self.max_steps <= 0:
-            raise ValueError("max_steps must be positive")
+# Peak bytes per now-register basis state of building a QcaStepper and taking
+# a coherent step (tracemalloc: 329 and 370 at n = 16 and 18).
+STEPPER_BYTES_PER_STATE = 384
+STEPPER_BYTES_BUDGET = 2 << 30
 
 
 class QcaStepper:
     """Owns one scheme's step circuit and drives noisy trajectories on it.
+    Incoherent ones are exact CA runs (see ``experiments.qca_flip_times``).
 
     The future register is all-0 between steps, so a trajectory's state is
     an n-qubit vector psi(b) over the now register's cell bits b.  The
@@ -390,16 +379,18 @@ class QcaStepper:
     """
 
     def __init__(self, scheme: str, n: int):
-        self.scheme = scheme
         self.n = n
         self.circuit = build_step(scheme, n)
+        if STEPPER_BYTES_PER_STATE << n > STEPPER_BYTES_BUDGET:
+            raise ValueError(f"a stepper on n = {n} cells needs ~{STEPPER_BYTES_PER_STATE << n:,}"
+                             f" bytes, over the {STEPPER_BYTES_BUDGET:,}-byte budget")
         size = 1 << n
-        self._index = np.arange(size, dtype=np.int64)
+        index = np.arange(size, dtype=np.int64)
         # |b>|0> -> |b ^ M(b)>|M(b)>, the now register in the low n bits.
-        image = basis_action(self._index, (g.qubits for g in self.circuit.gates()))
+        image = basis_action(index, (g.qubits for g in self.circuit.gates()))
         self._rule = image >> n                                      # M(b)
         self._outcome = image & (size - 1)                           # o = b ^ M(b)
-        self._weights = n - 2.0 * np.bitwise_count(self._index)     # sum_i <Z_i> of |b>
+        self._weights = n - 2.0 * np.bitwise_count(index)            # sum_i <Z_i> of |b>
         shape = (size, size)
         # (marginal, total) for each labeling: the now register is the lower
         # half (block columns) when now_is_lower, else the upper half (rows).
@@ -434,10 +425,6 @@ class QcaStepper:
         terms = [(0, math.cos(phi)), ((1 << self.n) - 1, abs(math.sin(phi)))]
         return SparseRegister(2 * self.n, *zip(*(term for term in terms if term[1])))
 
-    def ideal_fidelity(self, state: StateVector, phi: float) -> float:
-        """Overlap with the undisturbed logical state."""
-        return abs(math.cos(phi) * state.amps[0] - 1j * math.sin(phi) * state.amps[-1])
-
     def step_with_zsum(self, state: StateVector | SparseRegister, regmap: LogicalRegisterMap,
                        noise: NoiseModel, rng: np.random.Generator) -> float:
         """One full step; returns sum_i <Z_i> over the post-step now register.
@@ -447,6 +434,9 @@ class QcaStepper:
         ``regmap`` says which half of the 2n-qubit register the now qubits
         occupy, which also fixes the summation order of the reset.
         """
+        if noise.kind == "incoherent":
+            raise ValueError("incoherent trajectories run on the classical engine; "
+                             "use experiments.qca_flip_times")
         depolarizing = noise.kind == "depolarizing"
         expected, qubits = (SparseRegister, 2 * self.n) if depolarizing else (StateVector, self.n)
         if not isinstance(state, expected) or state.num_qubits != qubits:
@@ -455,14 +445,7 @@ class QcaStepper:
         if depolarizing:
             return self._depolarizing_step(state, regmap, noise.p, rng)
         amps = state.amps
-        if noise.kind == "incoherent":
-            flips = 0
-            for i in range(self.n):
-                if rng.random() < noise.p:
-                    flips |= 1 << i
-            if flips:
-                amps = amps[self._index ^ flips]
-        elif noise.kind == "coherent":
+        if noise.kind == "coherent":
             amps = apply_phenom_coherent(state, tuple(range(self.n)), noise.theta).amps
         probs = amps.real**2 + amps.imag**2
         marginal_sum, total_sum = self._sums[regmap.now[0] == 0]
@@ -558,13 +541,6 @@ def trajectory_rng(seed: int, trial_index: int) -> np.random.Generator:
     return default_rng(SeedSequence(entropy=seed, spawn_key=(trial_index,)))
 
 
-def run_qca_trajectory(spec: QcaRunSpec) -> int | None:
-    """Run one noisy trajectory to its logical flip (None if censored)."""
-    stepper = QcaStepper(spec.scheme, spec.n)
-    rng = trajectory_rng(spec.seed, spec.trial_index)
-    return stepper.run_trajectory(spec.noise, spec.phi, spec.max_steps, rng)
-
-
 def noiseless_preservation(scheme: str, n: int, phi: float, steps: int) -> tuple[float, bool]:
     """(final logical fidelity, whether a flip was ever signalled) without noise."""
     stepper = QcaStepper(scheme, n)
@@ -573,8 +549,7 @@ def noiseless_preservation(scheme: str, n: int, phi: float, steps: int) -> tuple
     state = stepper.initial_state(phi)
     flipped = False
     for _ in range(steps):
-        zsum = stepper.step_with_zsum(state, regmap, NoiseModel("none"), rng)
+        flipped |= stepper.step_with_zsum(state, regmap, NoiseModel("none"), rng) < 0.0
         regmap = regmap.swapped()
-        if zsum < 0.0:
-            flipped = True
-    return stepper.ideal_fidelity(state, phi), flipped
+    overlap = math.cos(phi) * state.amps[0] - 1j * math.sin(phi) * state.amps[-1]
+    return abs(overlap), flipped

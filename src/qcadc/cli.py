@@ -24,11 +24,15 @@ class CliError(Exception):
     """Invalid input; reported as one line on stderr with exit code 1."""
 
 
-def parse_probability(text: str) -> float:
+def parse_fraction(text: str) -> Fraction:
     try:
-        return float(Fraction(text))
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise CliError(f"cannot parse probability {text!r}: {exc}") from None
+
+
+def parse_probability(text: str) -> float:
+    return float(parse_fraction(text))
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -127,8 +131,8 @@ def _cmd_qca_run(args) -> int:
     p = parse_probability(str(opts["p"]))
     phi = None if opts["phi"] is None else float(opts["phi"])
     row_scheme = "232" if scheme == "q232" else "tlv"
-    times = experiments._qca_flip_times(row_scheme, n, p, noise_kind, trials,
-                                        int(opts["seed"]), int(opts["max_steps"]), phi)
+    times = experiments.qca_flip_times(row_scheme, n, p, noise_kind, trials,
+                                       int(opts["seed"]), int(opts["max_steps"]), phi)
     stats = ca.summarize_flip_times(times)
     row = experiments.CampaignRow.from_stats(row_scheme, "qca", noise_kind, n, p, stats)
     _write_output(_stats_text([row], opts["format"]), opts["output"])
@@ -137,7 +141,7 @@ def _cmd_qca_run(args) -> int:
 
 def _cmd_global_voting(args) -> int:
     opts = _merge_config(args, dict(n=10, p="0.1", delta=0, output=None, format="csv"))
-    p_fraction = Fraction(str(opts["p"]))
+    p_fraction = parse_fraction(str(opts["p"]))
     params = voting.VotingParams(int(opts["n"]), p_fraction, int(opts["delta"]))
     result = voting.mean_flip_time(params)
     values = dict(p=float(p_fraction), n=params.n, delta=params.delta,
@@ -188,20 +192,15 @@ def _cmd_fit_eval(args) -> int:
 def _cmd_campaign(args) -> int:
     opts = _merge_config(args, dict(backend="ca", scheme="tlv", grid=None,
                                     noise=None, trials=1000, seed=0,
-                                    max_steps=1_000_000, output=None, workers=None))
+                                    max_steps=1_000_000, output=None, workers=1))
     if not opts["grid"]:
         raise CliError("a campaign needs a grid of [n, p] points (config key 'grid')")
     grid = tuple((int(n), parse_probability(str(p))) for n, p in opts["grid"])
     noise = opts["noise"] or ("bitflip" if opts["backend"] == "ca" else "incoherent")
-    try:
-        config = experiments.CampaignConfig(str(opts["backend"]), str(opts["scheme"]),
-                                            grid, noise, int(opts["trials"]),
-                                            int(opts["seed"]), int(opts["max_steps"]),
-                                            opts["output"])
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    workers = int(opts["workers"]) if opts["workers"] is not None else None
-    rows = experiments.run_campaign(config, workers)
+    config = experiments.CampaignConfig(str(opts["backend"]), str(opts["scheme"]), grid, noise,
+                                        int(opts["trials"]), int(opts["seed"]),
+                                        int(opts["max_steps"]), opts["output"])
+    rows = experiments.run_campaign(config, int(opts["workers"]))
     if config.output:
         with open(config.output + ".csv", "w") as fh:
             fh.write(experiments.rows_to_csv(rows))
@@ -301,8 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--max-steps", dest="max_steps", type=int)
-    p.add_argument("--workers", type=int, help="grid-point worker processes "
-                   "(default: QCADC_WORKERS or 1)")
+    p.add_argument("--workers", type=int, help="grid-point worker processes (default: 1)")
     return parser
 
 
@@ -314,10 +312,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (CliError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # runtime failure

@@ -5,19 +5,22 @@ statistical backend comparisons.
 A campaign is deterministic in its master seed: every grid point derives
 its own stream seed from (master seed, grid index), so results do not
 depend on worker count or evaluation order.
+
+``qca_flip_times`` picks the engine for QCA trajectories: incoherent and
+noiseless runs are exact CA runs on each trajectory's own stream, coherent
+and depolarizing runs step the quantum state.
 """
 from __future__ import annotations
 
 import json
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import ca
-from .circuits import NoiseModel, QcaStepper, trajectory_rng
+from .circuits import NoiseModel, QcaStepper, check_cell_count, trajectory_rng
 from .rng import check_seed, derive_seed
 
 
@@ -128,25 +131,54 @@ def point_seed(master_seed: int, index: int) -> int:
     return derive_seed(master_seed, index)
 
 
-def _qca_flip_times(scheme: str, n: int, p: float, noise_kind: str, trials: int,
-                    seed: int, max_steps: int, phi: float | None = None) -> np.ndarray:
-    """Trajectory flip times (-1 when censored).
+# Trajectories whose streams are held at once (~1 KB each).
+TRAJECTORY_BATCH = 1 << 14
 
-    The logical angle is ``phi`` when given, else drawn per trajectory as
-    the first value of its stream.
+
+def qca_flip_times(scheme: str, n: int, p: float, noise_kind: str, trials: int,
+                   seed: int, max_steps: int, phi: float | None = None) -> np.ndarray:
+    """Flip step of each trajectory k < trials of ``scheme`` ("232" or "tlv")
+    on ``trajectory_rng(seed, k)`` (-1 if censored), its logical angle ``phi``
+    or the stream's first draw.  Bit flips and the self-dual rule M keep the
+    state a pair a|b> + c|~b>, |a| > |c|, whose terms share the reset outcome
+    b ^ M(b), so sum<Z> < 0 exactly when M(b) has a strict majority of 1s:
+    incoherent and noiseless runs are CA runs.  Each of their steps draws n
+    flip values (< p) and the discarded reset value from the trajectory's
+    stream; noiseless runs draw nothing.
     """
     if max_steps <= 0:
         raise ValueError("max_steps must be positive")
     if phi is not None and not abs(phi) < math.pi / 4:
         raise ValueError("the logical angle must satisfy |phi| < pi/4")
-    stepper = QcaStepper("q232" if scheme == "232" else "qtlv", n)
+    if scheme not in ("232", "tlv"):
+        raise ValueError(f"scheme must be '232' or 'tlv', got {scheme!r}")
+    check_cell_count(n)
     noise = NoiseModel(noise_kind, p)
+    stepper = (QcaStepper("q232" if scheme == "232" else "qtlv", n)
+               if noise.kind in ("coherent", "depolarizing") else None)
     times = np.empty(trials, dtype=np.int64)
-    for k in range(trials):
-        rng = trajectory_rng(seed, k)
-        angle = rng.uniform(-math.pi / 4, math.pi / 4) if phi is None else phi
-        t = stepper.run_trajectory(noise, angle, max_steps, rng)
-        times[k] = -1 if t is None else t
+    for start in range(0, trials, TRAJECTORY_BATCH):
+        indices = range(start, min(start + TRAJECTORY_BATCH, trials))
+        streams = [trajectory_rng(seed, k) for k in indices]
+        # Every stream draws its angle first; only the quantum engine reads it.
+        angles = [rng.uniform(-math.pi / 4, math.pi / 4) if phi is None else phi
+                  for rng in streams]
+        if stepper is not None:
+            for k, rng, angle in zip(indices, streams, angles):
+                t = stepper.run_trajectory(noise, angle, max_steps, rng)
+                times[k] = -1 if t is None else t
+            continue
+
+        def flips(live: np.ndarray, t: int) -> np.ndarray:
+            if noise.kind == "none":
+                return np.zeros((live.size, n), dtype=bool)
+            draws = np.empty((live.size, n + 1))
+            for row, k in zip(draws, live):
+                streams[k - start].random(out=row)
+            return draws[:, :n] < p
+
+        times[indices] = ca._batch_flip_times(n, 232 if scheme == "232" else "tlv", p, seed,
+                                              np.array(indices), max_steps, flips)
     return times
 
 
@@ -158,8 +190,8 @@ def _evaluate_point(config: CampaignConfig, index: int) -> CampaignRow:
             rule: ca.RuleKind = "tlv" if config.scheme == "tlv" else 232
             stats = ca.flip_time_stats(n, rule, p, config.trials, seed, config.max_steps)
         else:
-            times = _qca_flip_times(config.scheme, n, p, config.noise, config.trials,
-                                    seed, config.max_steps)
+            times = qca_flip_times(config.scheme, n, p, config.noise, config.trials,
+                                   seed, config.max_steps)
             stats = ca.summarize_flip_times(times)
     except Exception as exc:  # recorded in-row; the campaign continues
         return CampaignRow(config.scheme, config.backend, config.noise, n, p, 0,
@@ -168,17 +200,10 @@ def _evaluate_point(config: CampaignConfig, index: int) -> CampaignRow:
     return CampaignRow.from_stats(config.scheme, config.backend, config.noise, n, p, stats)
 
 
-def default_workers() -> int:
-    value = os.environ.get("QCADC_WORKERS", "1")
-    try:
-        return max(1, int(value))
-    except ValueError:
-        return 1
-
-
-def run_campaign(config: CampaignConfig, workers: int | None = None) -> list[CampaignRow]:
+def run_campaign(config: CampaignConfig, workers: int = 1) -> list[CampaignRow]:
     """One row per grid point, ordered by grid index; deterministic in the seed."""
-    workers = default_workers() if workers is None else max(1, workers)
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     indices = range(len(config.grid))
     if workers == 1 or len(config.grid) <= 1:
         return [_evaluate_point(config, i) for i in indices]

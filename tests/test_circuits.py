@@ -9,8 +9,8 @@ from qcadc.circuits import (Circuit, NoiseModel, QcaStepper,
                             build_q232_step, build_qtlv_step, build_step,
                             basis_action, circuit_to_text,
                             decompose_toffoli, noiseless_preservation,
-                            run_qca_trajectory, QcaRunSpec, trajectory_rng,
-                            _toffoli_network)
+                            trajectory_rng, _toffoli_network)
+from qcadc.experiments import qca_flip_times
 from qcadc.qsim import Gate, StateVector, apply_gate, expectation_z_sum
 from oracles import step_elementary, step_tlv, toffoli_matrix
 
@@ -188,10 +188,11 @@ def test_initial_state_and_phi_validation():
     assert state.amps[0] == pytest.approx(math.cos(0.3))
     assert state.amps[0b1111] == pytest.approx(1j * math.sin(0.3))
     assert expectation_z_sum(state, (0, 1, 2, 3)) == pytest.approx(4 * math.cos(0.6))
-    with pytest.raises(ValueError):
-        QcaRunSpec("q232", 4, NoiseModel("none"), phi=math.pi / 4, seed=0)
-    with pytest.raises(ValueError):
-        QcaRunSpec("q232", 4, NoiseModel("none"), phi=0.1, seed=0, max_steps=0)
+    for noise in ("none", "incoherent", "coherent", "depolarizing"):
+        with pytest.raises(ValueError, match=r"\|phi\| < pi/4"):
+            qca_flip_times("232", 4, 0.1, noise, 1, seed=0, max_steps=5, phi=math.pi / 4)
+        with pytest.raises(ValueError, match="max_steps must be positive"):
+            qca_flip_times("232", 4, 0.1, noise, 1, seed=0, max_steps=0, phi=0.1)
 
 
 @pytest.mark.parametrize("seed, trial, message", [
@@ -199,29 +200,25 @@ def test_initial_state_and_phi_validation():
     (0, -7, "trial index must be non-negative, got -7"),
 ])
 def test_trajectory_streams_refuse_negative_seeds_and_trials(seed, trial, message):
-    spec = QcaRunSpec("q232", 4, NoiseModel("depolarizing", 0.1), phi=0.2, seed=seed,
-                      trial_index=trial, max_steps=5)
     with pytest.raises(ValueError, match=message):
-        run_qca_trajectory(spec)
+        trajectory_rng(seed, trial)
 
 
-def test_run_qca_trajectory_deterministic():
-    spec = QcaRunSpec("q232", 4, NoiseModel("incoherent", 0.3), phi=0.2, seed=9,
-                      trial_index=3, max_steps=500)
-    assert run_qca_trajectory(spec) == run_qca_trajectory(spec)
+@pytest.mark.parametrize("noise", ["incoherent", "coherent", "depolarizing"])
+def test_qca_flip_times_deterministic(noise):
+    times = qca_flip_times("232", 4, 0.3, noise, 6, seed=9, max_steps=500, phi=0.2)
+    assert times.tolist() == qca_flip_times("232", 4, 0.3, noise, 6, seed=9, max_steps=500,
+                                            phi=0.2).tolist()
+    assert (times > 0).all()
 
 
 def test_incoherent_trajectories_match_classical_distribution():
     # incoherent bit flips keep trajectories classical: flip-time means of the
-    # quantum run and the classical engine agree within sampling error
+    # trajectory streams and of the classical engine's hashed noise agree
+    # within sampling error
     n, p, trials = 6, 0.25, 400
-    stepper = QcaStepper("q232", n)
-    times = []
-    for k in range(trials):
-        rng = trajectory_rng(31, k)
-        phi = rng.uniform(-math.pi / 4, math.pi / 4)
-        times.append(stepper.run_trajectory(NoiseModel("incoherent", p), phi, 5000, rng))
-    times = np.array([t for t in times if t is not None], dtype=float)
+    times = qca_flip_times("232", n, p, "incoherent", trials, seed=31, max_steps=5000)
+    times = times[times > 0].astype(float)
     classical = ca.flip_time_stats(n, 232, p, trials=20_000, seed=77)
     stderr = math.hypot(times.std(ddof=1) / math.sqrt(times.size), classical.stderr)
     assert abs(times.mean() - classical.mean) < 3 * stderr
@@ -236,7 +233,5 @@ def test_noise_model_validation():
 
 
 def test_depolarizing_step_path_runs():
-    spec = QcaRunSpec("qtlv", 4, NoiseModel("depolarizing", 0.05), phi=0.1, seed=2,
-                      max_steps=2000)
-    t = run_qca_trajectory(spec)
-    assert t is None or t >= 1
+    t, = qca_flip_times("tlv", 4, 0.05, "depolarizing", 1, seed=2, max_steps=2000, phi=0.1)
+    assert t == -1 or t >= 1

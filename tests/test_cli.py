@@ -73,6 +73,13 @@ def test_global_voting_matches_closed_form(capsys):
     assert float(values["T_F_steps"]) == pytest.approx(float(result.steps), rel=1e-9)
 
 
+@pytest.mark.parametrize("p", ["1/0", "nope"])
+def test_global_voting_refuses_an_unparseable_probability(capsys, p):
+    code, out, err = run_cli(capsys, "global-voting", "--n", "10", "--p", p)
+    assert code == 1 and out == ""
+    assert f"cannot parse probability {p!r}" in err
+
+
 def test_rules_audit(capsys):
     code, out, _ = run_cli(capsys, "rules-audit")
     assert code == 0
@@ -148,6 +155,18 @@ def test_qca_run_refuses_a_logical_angle_outside_pi_over_4(capsys, phi):
     assert "|phi| < pi/4" in err
 
 
+@pytest.mark.parametrize("noise, n, code", [("coherent", "30", 1), ("depolarizing", "64", 1),
+                                           ("incoherent", "64", 0)])
+def test_qca_run_refuses_a_stepper_over_the_memory_budget(capsys, noise, n, code):
+    got, out, err = run_cli(capsys, "qca-run", "--scheme", "qtlv", "--n", n, "--noise", noise,
+                            "--p", "0.3", "--trials", "2", "--max-steps", "20")
+    assert got == code
+    if code:
+        assert out == "" and f"a stepper on n = {n} cells needs ~" in err
+    else:
+        assert out.splitlines()[1].startswith(f"tlv,qca,incoherent,{n},0.3,0,2,")
+
+
 @pytest.mark.parametrize("max_steps", ["0", "-3"])
 def test_qca_run_refuses_non_positive_max_steps(capsys, max_steps):
     code, out, err = run_cli(capsys, "qca-run", "--scheme", "q232", "--n", "4",
@@ -194,6 +213,18 @@ def test_campaign_refuses_lattices_below_the_backend_minimum(tmp_path, capsys, b
                              "--output", str(tmp_path / "out"))
     assert code == 1 and out == ""
     assert f"the {backend} backend needs n >= {1 if backend == 'ca' else 4}, got {n}" in err
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_campaign_refuses_fewer_than_one_worker(tmp_path, capsys, workers):
+    cfg = tmp_path / "campaign.json"
+    cfg.write_text(json.dumps({"backend": "ca", "scheme": "232", "grid": [[4, 0.1]],
+                               "trials": 2}))
+    code, out, err = run_cli(capsys, "campaign", "--config", str(cfg), "--workers", workers,
+                             "--output", str(tmp_path / "out"))
+    assert code == 1 and out == ""
+    assert f"workers must be at least 1, got {workers}" in err
     assert not (tmp_path / "out.csv").exists()
 
 

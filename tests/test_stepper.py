@@ -1,6 +1,6 @@
-"""The trajectory stepper: recorded flip times, exact reset sums, and a
-gate-level oracle on the full 2n-qubit register for the n-qubit and the
-sparse depolarizing steps."""
+"""QCA trajectories: recorded flip times, exact reset sums, and a gate-level
+oracle on the full 2n-qubit register for the n-qubit and the sparse
+depolarizing steps and for the incoherent runs on the classical engine."""
 import json
 import math
 from fractions import Fraction
@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 from qcadc import qsim
 from qcadc.circuits import (ExactBlockSum, LogicalRegisterMap, NoiseModel, QcaStepper,
                             build_step, trajectory_rng, two_term_outcome)
-from qcadc.experiments import _qca_flip_times
+from qcadc.experiments import qca_flip_times
 from qcadc.qsim import (Gate, SparseRegister, StateVector, apply_depolarizing_after_gate,
                         apply_gate, expectation_z_sum, measure_reset)
+from oracles import step_elementary, step_tlv
 
 RECORDED = json.loads((Path(__file__).parent / "data" / "qca_flip_times.json").read_text())
 
@@ -27,8 +28,8 @@ def test_flip_times_match_recorded_arrays(case):
     # Recorded with the 2n-qubit permutation stepper.  Several trajectories
     # reach sum<Z> = 0 up to rounding, so a reset summed in any other order
     # changes their flip times.
-    times = _qca_flip_times(case["scheme"], case["n"], float(Fraction(case["p"])),
-                            case["noise"], case["trials"], case["seed"], case["max_steps"])
+    times = qca_flip_times(case["scheme"], case["n"], float(Fraction(case["p"])),
+                           case["noise"], case["trials"], case["seed"], case["max_steps"])
     assert times.tolist() == case["times"]
 
 
@@ -152,7 +153,7 @@ def _outcomes_leaving(pre, post, n, now_is_lower):
 
 @pytest.mark.parametrize("scheme", ["q232", "qtlv"])
 @pytest.mark.parametrize("n", [4, 6])
-@pytest.mark.parametrize("noise", [NoiseModel("none"), NoiseModel("incoherent", 0.2),
+@pytest.mark.parametrize("noise", [NoiseModel("none"),
                                    NoiseModel("coherent", 0.1), NoiseModel("depolarizing", 0.1),
                                    NoiseModel("depolarizing", 1.0)],
                          ids=lambda m: f"{m.kind}-{m.p}" if m.kind == "depolarizing" else m.kind)
@@ -190,6 +191,90 @@ def test_step_matches_gate_level_register(scheme, n, noise):
                 # magnitude is one component's absolute value, exactly.
                 assert ((amps.real == 0) | (amps.imag == 0)).all()
             regmap = regmap.swapped()
+
+
+def _oracle_flip_time(scheme, n, noise, phi, max_steps, rng):
+    """First step at which the gate-level register's sum<Z> < 0, -1 if none by max_steps."""
+    angle = rng.uniform(-math.pi / 4, math.pi / 4) if phi is None else phi
+    register, regmap = _dense_register(n, angle), LogicalRegisterMap.initial(n)
+    for t in range(1, max_steps + 1):
+        _, zsum = _oracle_step(scheme, n, register, regmap, noise, rng)
+        regmap = regmap.swapped()
+        if zsum < 0.0:
+            return t
+    return -1
+
+
+@pytest.mark.parametrize("scheme", ["232", "tlv"])
+@pytest.mark.parametrize("n, p", [(4, 0.1), (4, 0.3), (6, 1 / 7)], ids=["4-0.1", "4-0.3", "6-1/7"])
+@pytest.mark.parametrize("phi", [None, math.nextafter(math.pi / 4, 0)],
+                         ids=["drawn-phi", "phi-below-pi/4"])
+def test_incoherent_flip_times_match_the_gate_level_register(scheme, n, p, phi):
+    # Incoherent runs step the classical rule on each trajectory's own stream; the
+    # dense 2n-qubit register draws the same flips and resets from that stream.
+    trials, seed, max_steps = 10, 23, 40
+    times = qca_flip_times(scheme, n, p, "incoherent", trials, seed, max_steps, phi)
+    expected = [_oracle_flip_time("q" + scheme, n, NoiseModel("incoherent", p), phi,
+                                  max_steps, trajectory_rng(seed, k)) for k in range(trials)]
+    assert times.tolist() == expected
+    assert (times > 0).any()
+
+
+def _classical_flip_time(scheme, n, p, seed, trial, max_steps):
+    """Trajectory ``trial`` read as a CA run: per step, the stream's n flip values and
+    its reset value, then the plain-array rule and a strict-majority test."""
+    rng = trajectory_rng(seed, trial)
+    rng.uniform(-math.pi / 4, math.pi / 4)
+    cells = np.zeros(n, dtype=np.uint8)
+    for t in range(1, max_steps + 1):
+        cells ^= (rng.random(n + 1)[:n] < p).astype(np.uint8)
+        cells = step_tlv(cells) if scheme == "tlv" else step_elementary(cells, 232)
+        if 2 * int(cells.sum()) > n:
+            return t
+    return -1
+
+
+@pytest.mark.parametrize("scheme, n, p", [("232", 64, 0.3), ("tlv", 64, 0.3),
+                                          ("232", 256, 0.45), ("tlv", 256, 0.45)])
+def test_incoherent_runs_at_wide_lattices(scheme, n, p):
+    # A 2^n-amplitude state cannot be held here; the classical route needs n bits.
+    trials, seed, max_steps = 6, 5, 60
+    times = qca_flip_times(scheme, n, p, "incoherent", trials, seed, max_steps)
+    assert times.tolist() == [_classical_flip_time(scheme, n, p, seed, k, max_steps)
+                              for k in range(trials)]
+    assert (times > 0).any()
+
+
+@pytest.mark.parametrize("scheme", ["232", "tlv"])
+@pytest.mark.parametrize("n", [4, 6, 64])
+def test_noiseless_runs_end_censored(scheme, n):
+    assert qca_flip_times(scheme, n, 0.5, "none", 5, seed=3, max_steps=30).tolist() == [-1] * 5
+
+
+def test_stepper_refuses_incoherent_steps():
+    stepper = QcaStepper("q232", 4)
+    with pytest.raises(ValueError, match="qca_flip_times"):
+        stepper.step_with_zsum(stepper.initial_state(0.1), LogicalRegisterMap.initial(4),
+                               NoiseModel("incoherent", 0.1), np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("n", [30, 64])
+def test_stepper_refuses_sizes_over_the_memory_budget(n):
+    with pytest.raises(ValueError, match=f"n = {n} cells needs ~[0-9,]+ bytes"):
+        QcaStepper("qtlv", n)
+
+
+@pytest.mark.parametrize("n", [3, 7, 2, 0])
+def test_odd_or_tiny_lattices_are_refused_for_every_noise_kind(n):
+    for noise in ("none", "incoherent", "coherent", "depolarizing"):
+        with pytest.raises(ValueError, match="needs an even cell count >= 4"):
+            qca_flip_times("tlv", n, 0.1, noise, 2, seed=0, max_steps=5)
+
+
+def test_qca_flip_times_refuses_the_stepper_scheme_names():
+    for scheme in ("q232", "qtlv"):
+        with pytest.raises(ValueError, match=f"scheme must be '232' or 'tlv', got '{scheme}'"):
+            qca_flip_times(scheme, 4, 0.1, "incoherent", 2, seed=0, max_steps=5)
 
 
 @pytest.mark.parametrize("scheme", ["q232", "qtlv"])
