@@ -6,7 +6,8 @@ logical state, the future register starts in all-0, three Toffolis per
 cell write each cell's majority onto its future cell, and a transversal
 CNOT layer (future controls, now targets) decouples the registers.  After
 a measurement-based reset of the now register the two register labels
-swap; no qubit ever moves.
+swap; no qubit ever moves.  ``QcaStepper`` instead keeps the now register
+on qubits 0..n-1 and moves the future register down after each reset.
 
 Toffoli layers are packed so every qubit is touched at most once per
 layer: depth 6 for the Toffolis plus 1 for the CNOTs, for any even n.
@@ -60,20 +61,6 @@ class Circuit:
                 if overlap:
                     raise ValueError(f"layer {k} reuses qubit(s) {sorted(overlap)}")
                 used.update(gate.qubits)
-
-
-@dataclass(frozen=True)
-class LogicalRegisterMap:
-    """Which physical qubits currently hold the now and future registers."""
-    now: tuple[int, ...]
-    future: tuple[int, ...]
-
-    def swapped(self) -> "LogicalRegisterMap":
-        return LogicalRegisterMap(self.future, self.now)
-
-    @classmethod
-    def initial(cls, n: int) -> "LogicalRegisterMap":
-        return cls(tuple(range(n)), tuple(range(n, 2 * n)))
 
 
 # ---------------------------------------------------------------------------
@@ -344,111 +331,106 @@ class ExactBlockSum:
 # Trajectory loop
 # ---------------------------------------------------------------------------
 
-# Peak bytes per now-register basis state of building a QcaStepper and taking
-# a coherent step (tracemalloc: 329 and 370 at n = 16 and 18).
+# Peak bytes per now-register basis state of building a coherent or noiseless
+# QcaStepper and taking a step (tracemalloc: 329 and 370 at n = 16 and 18).
 STEPPER_BYTES_PER_STATE = 384
+# Bytes per n^2 of building a depolarizing QcaStepper, whose 4n gate masks are
+# ints of up to 2n bits: tracemalloc read 1.52 and 1.33 at n = 4096 and 8192,
+# falling as the masks outgrow the O(n) gate list.
+DEPOLARIZING_BYTES_PER_CELL_SQUARED = 2
 STEPPER_BYTES_BUDGET = 2 << 30
 
 
 class QcaStepper:
-    """Owns one scheme's step circuit and drives noisy trajectories on it.
-    Incoherent ones are exact CA runs (see ``experiments.qca_flip_times``).
+    """Owns one scheme's step circuit under one noise model, builds only what
+    that model's steps read, and drives trajectories on it.  Incoherent
+    trajectories are exact CA runs (``experiments.qca_flip_times``), so it
+    refuses them.
 
-    The future register is all-0 between steps, so a trajectory's state is
-    an n-qubit vector psi(b) over the now register's cell bits b.  The
-    Toffoli/CNOT block maps |b>|0> to |b ^ M(b)>|M(b)>, M the classical
-    rule, so the now-register reset has outcome o = b ^ M(b) and leaves
-    psi'(M(b)) = psi(b) / sqrt(P(o)) behind, with P(o) the summed |psi(b)|^2
-    of that outcome: O(2^n) work per step.
-
-    P and its total are summed in the order numpy sums the dense
-    2^n x 2^n probability block of the 2n-qubit register (rows: upper-half
-    qubits), so outcomes and sum<Z> are bit-identical to a dense reset of
-    that register, including where an exact tie leaves the flip test to
-    float rounding.
+    Coherent and noiseless steps hold the n now qubits: the future register
+    is all-0 between steps, and the Toffoli/CNOT block maps |b>|0> to
+    |b ^ M(b)>|M(b)>, M the classical rule, so the reset has outcome
+    o = b ^ M(b) and leaves psi'(M(b)) = psi(b) / sqrt(P(o)) behind, P(o) the
+    summed |psi(b)|^2 of that outcome: O(2^n) work and tables.  P and its
+    total are summed in the order numpy sums the dense 2^n x 2^n probability
+    block of the 2n-qubit register (rows: upper-half qubits), whose labels
+    swap every step, so the now register is its lower half on odd steps.
+    Outcomes and sum<Z> are thus bit-identical to a dense reset, exact ties
+    included.
 
     Per-gate depolarizing noise hits the future register mid-circuit, so
-    those trajectories apply the step gate by gate on the 2n-qubit
-    register.  Every gate and kick there is a signed basis permutation and
-    the reset keeps a subset of the terms, so the register never holds more
-    than the initial state's two nonzero amplitudes, which never meet: it is
-    a ``SparseRegister`` of indices and magnitudes, and each gate is a bit
-    operation on its indices.  The reset sums at most two nonzero terms,
-    which round the same in any order, so outcomes and magnitudes are
-    bit-identical to a dense register.
+    those steps run gate by gate on the 2n-qubit register, the now register
+    in the low n bits.  Every gate and kick is a signed basis permutation and
+    the reset keeps a subset of the terms, so the register is a
+    ``SparseRegister`` of at most two (index, magnitude) terms that never
+    meet.  A gate is a bit operation on the indices, and after the reset the
+    future bits move down (``index >> n``).  Sums of at most two terms round
+    the same in any order, so outcomes and magnitudes are bit-identical to a
+    dense register.  Nothing of size 2^n is built.
     """
 
-    def __init__(self, scheme: str, n: int):
+    def __init__(self, scheme: str, n: int, noise: NoiseModel):
+        if noise.kind == "incoherent":
+            raise ValueError("incoherent trajectories run on the classical engine; "
+                             "use experiments.qca_flip_times")
         self.n = n
-        self.circuit = build_step(scheme, n)
-        if STEPPER_BYTES_PER_STATE << n > STEPPER_BYTES_BUDGET:
-            raise ValueError(f"a stepper on n = {n} cells needs ~{STEPPER_BYTES_PER_STATE << n:,}"
-                             f" bytes, over the {STEPPER_BYTES_BUDGET:,}-byte budget")
+        self._depolarizing = noise.kind == "depolarizing"
+        need = (DEPOLARIZING_BYTES_PER_CELL_SQUARED * n * n if self._depolarizing
+                else STEPPER_BYTES_PER_STATE << n)
+        if need > STEPPER_BYTES_BUDGET:
+            raise ValueError(f"a stepper on n = {n} cells needs ~{need:,} bytes, "
+                             f"over the {STEPPER_BYTES_BUDGET:,}-byte budget")
+        circuit = build_step(scheme, n)
+        if self._depolarizing:
+            self._p = noise.p
+            # Each gate's (control mask, target bit, support): a Toffoli or CNOT
+            # flips the target bit where every control bit is set.
+            self._gates = tuple((sum(1 << c for c in g.qubits[:-1]), 1 << g.qubits[-1], g.qubits)
+                                for g in circuit.gates())
+            return
+        self._theta = noise.theta if noise.kind == "coherent" else None
         size = 1 << n
         index = np.arange(size, dtype=np.int64)
         # |b>|0> -> |b ^ M(b)>|M(b)>, the now register in the low n bits.
-        image = basis_action(index, (g.qubits for g in self.circuit.gates()))
+        image = basis_action(index, (g.qubits for g in circuit.gates()))
         self._rule = image >> n                                      # M(b)
         self._outcome = image & (size - 1)                           # o = b ^ M(b)
         self._weights = n - 2.0 * np.bitwise_count(index)            # sum_i <Z_i> of |b>
         shape = (size, size)
-        # (marginal, total) for each labeling: the now register is the lower
-        # half (block columns) when now_is_lower, else the upper half (rows).
-        self._sums = {
-            True: (ExactBlockSum(self._rule, self._outcome, shape, axis=0),
-                   ExactBlockSum(self._rule, self._outcome, shape, axis=None)),
-            False: (ExactBlockSum(self._outcome, self._rule, shape, axis=1),
-                    ExactBlockSum(self._outcome, self._rule, shape, axis=None)),
-        }
-        # Per labeling, each gate's (control mask, target bit, physical support):
-        # a Toffoli or CNOT flips the target bit where every control bit is set.
-        self._gates = {}
-        initial = LogicalRegisterMap.initial(n)
-        for regmap in (initial, initial.swapped()):
-            physical = regmap.now + regmap.future
-            gates = []
-            for gate in self.circuit.gates():
-                support = tuple(physical[q] for q in gate.qubits)
-                *controls, target = support
-                gates.append((sum(1 << c for c in controls), 1 << target, support))
-            self._gates[regmap.now[0] == 0] = tuple(gates)
+        # (marginal, total) by step parity: the now register is the block's
+        # upper half (rows) on even steps and its lower half (columns) on odd ones.
+        self._sums = ((ExactBlockSum(self._outcome, self._rule, shape, axis=1),
+                       ExactBlockSum(self._outcome, self._rule, shape, axis=None)),
+                      (ExactBlockSum(self._rule, self._outcome, shape, axis=0),
+                       ExactBlockSum(self._rule, self._outcome, shape, axis=None)))
 
-    def initial_state(self, phi: float) -> StateVector:
-        """cos(phi)|0..0> + i sin(phi)|1..1> on the n now qubits."""
+    def initial_state(self, phi: float) -> StateVector | SparseRegister:
+        """cos(phi)|0..0> + i sin(phi)|1..1> on the n now qubits: n-qubit amplitudes, or
+        magnitudes on the 2n-qubit register (a zero term dropped) for depolarizing steps."""
+        if self._depolarizing:
+            terms = [(0, math.cos(phi)), ((1 << self.n) - 1, abs(math.sin(phi)))]
+            return SparseRegister(2 * self.n, *zip(*(term for term in terms if term[1])))
         state = StateVector(self.n, np.zeros(1 << self.n, dtype=np.complex128))
         state.amps[0] = math.cos(phi)
         state.amps[-1] = 1j * math.sin(phi)
         return state
 
-    def initial_register(self, phi: float) -> SparseRegister:
-        """``initial_state(phi)`` as magnitudes on the 2n-qubit register, zero terms dropped."""
-        terms = [(0, math.cos(phi)), ((1 << self.n) - 1, abs(math.sin(phi)))]
-        return SparseRegister(2 * self.n, *zip(*(term for term in terms if term[1])))
-
-    def step_with_zsum(self, state: StateVector | SparseRegister, regmap: LogicalRegisterMap,
-                       noise: NoiseModel, rng: np.random.Generator) -> float:
-        """One full step; returns sum_i <Z_i> over the post-step now register.
-
-        ``state`` holds the n now qubits, except under depolarizing noise,
-        where it is the 2n-qubit ``SparseRegister`` (see ``run_trajectory``).
-        ``regmap`` says which half of the 2n-qubit register the now qubits
-        occupy, which also fixes the summation order of the reset.
-        """
-        if noise.kind == "incoherent":
-            raise ValueError("incoherent trajectories run on the classical engine; "
-                             "use experiments.qca_flip_times")
-        depolarizing = noise.kind == "depolarizing"
-        expected, qubits = (SparseRegister, 2 * self.n) if depolarizing else (StateVector, self.n)
+    def step_with_zsum(self, state: StateVector | SparseRegister, t: int,
+                       rng: np.random.Generator) -> float:
+        """Step t >= 1 of an ``initial_state``, in place; returns sum_i <Z_i> over the
+        post-step now register.  The parity of t fixes the dense reset's summation order."""
+        expected, qubits = ((SparseRegister, 2 * self.n) if self._depolarizing
+                            else (StateVector, self.n))
         if not isinstance(state, expected) or state.num_qubits != qubits:
-            raise ValueError(f"{noise.kind} steps need a {qubits}-qubit {expected.__name__}, "
+            raise ValueError(f"this stepper's states are {qubits}-qubit {expected.__name__}s, "
                              f"got {state.num_qubits} qubits in a {type(state).__name__}")
-        if depolarizing:
-            return self._depolarizing_step(state, regmap, noise.p, rng)
+        if self._depolarizing:
+            return self._depolarizing_step(state, rng)
         amps = state.amps
-        if noise.kind == "coherent":
-            amps = apply_phenom_coherent(state, tuple(range(self.n)), noise.theta).amps
+        if self._theta is not None:
+            amps = apply_phenom_coherent(state, tuple(range(self.n)), self._theta).amps
         probs = amps.real**2 + amps.imag**2
-        marginal_sum, total_sum = self._sums[regmap.now[0] == 0]
+        marginal_sum, total_sum = self._sums[t & 1]
         total = total_sum(probs)
         if abs(total - 1.0) > 1e-10:
             raise AssertionError("statevector norm drifted past 1e-10")
@@ -462,8 +444,7 @@ class QcaStepper:
         state.amps = new
         return float((new.real**2 + new.imag**2) @ self._weights)
 
-    def _depolarizing_step(self, register: SparseRegister, regmap: LogicalRegisterMap,
-                           p: float, rng: np.random.Generator) -> float:
+    def _depolarizing_step(self, register: SparseRegister, rng: np.random.Generator) -> float:
         """The step's gates, each followed by its kick draw, then the now-register reset.
 
         The register's one or two basis indices are held as ints while the
@@ -472,10 +453,10 @@ class QcaStepper:
         1 / sqrt(weight) as numpy divides complex amplitudes by a real
         scalar, so both match ``measure_reset`` on a dense register bit for bit.
         """
-        draw = rng.random
+        draw, p, n = rng.random, self._p, self.n
         count = len(register.index)
         a, b = register.index[0], register.index[-1]  # b == a on a one-term register
-        for cmask, tmask, support in self._gates[regmap.now[0] == 0]:
+        for cmask, tmask, support in self._gates:
             if a & cmask == cmask:
                 a ^= tmask
             if b & cmask == cmask:
@@ -486,30 +467,25 @@ class QcaStepper:
                 qsim.apply_pauli_string(register, support, draw_kick_labels(len(support), rng))
                 a, b = register.index[0], register.index[-1]
         index = [a, b][:count]
-        shift, mask = regmap.now[0], (1 << self.n) - 1
+        mask = (1 << n) - 1
         mags = register.amps
         weights = (mags * mags).tolist()
         if abs(math.sqrt(sum(weights)) - 1.0) > 1e-10:
             raise AssertionError("statevector norm drifted past 1e-10")
-        bins = [(i >> shift) & mask for i in index]
+        bins = [i & mask for i in index]
         outcome, weight = two_term_outcome(bins, weights, draw)
         keep = [j for j, o in enumerate(bins) if o == outcome]
         mags = (mags if len(keep) == count else mags[keep]) * (1.0 / math.sqrt(weight))
         register.amps = mags
-        register.index = [index[j] & ~(mask << shift) for j in keep]
-        future = [(index[j] >> regmap.future[0]) & mask for j in keep]
-        return float((mags ** 2) @ self._weights[future])
+        register.index = [index[j] >> n for j in keep]
+        return float((mags ** 2) @ np.array([n - 2.0 * i.bit_count() for i in register.index]))
 
-    def run_trajectory(self, noise: NoiseModel, phi: float, max_steps: int,
+    def run_trajectory(self, phi: float, max_steps: int,
                        rng: np.random.Generator) -> int | None:
         """First step t with sum_i <Z_i> < 0 on the post-step now register."""
-        regmap = LogicalRegisterMap.initial(self.n)
-        state = (self.initial_register(phi) if noise.kind == "depolarizing"
-                 else self.initial_state(phi))
+        state = self.initial_state(phi)
         for t in range(1, max_steps + 1):
-            zsum = self.step_with_zsum(state, regmap, noise, rng)
-            regmap = regmap.swapped()
-            if zsum < 0.0:
+            if self.step_with_zsum(state, t, rng) < 0.0:
                 return t
         return None
 
@@ -543,13 +519,9 @@ def trajectory_rng(seed: int, trial_index: int) -> np.random.Generator:
 
 def noiseless_preservation(scheme: str, n: int, phi: float, steps: int) -> tuple[float, bool]:
     """(final logical fidelity, whether a flip was ever signalled) without noise."""
-    stepper = QcaStepper(scheme, n)
+    stepper = QcaStepper(scheme, n, NoiseModel("none"))
     rng = default_rng(0)  # reset outcomes are deterministic here
-    regmap = LogicalRegisterMap.initial(n)
     state = stepper.initial_state(phi)
-    flipped = False
-    for _ in range(steps):
-        flipped |= stepper.step_with_zsum(state, regmap, NoiseModel("none"), rng) < 0.0
-        regmap = regmap.swapped()
+    flipped = any([stepper.step_with_zsum(state, t, rng) < 0.0 for t in range(1, steps + 1)])
     overlap = math.cos(phi) * state.amps[0] - 1j * math.sin(phi) * state.amps[-1]
     return abs(overlap), flipped

@@ -49,6 +49,9 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
     if getattr(args, "config", None):
         with open(args.config) as fh:
             loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise CliError(f"config file must hold a JSON object of flag values, "
+                           f"got {type(loaded).__name__}")
         unknown = set(loaded) - set(defaults)
         if unknown:
             raise CliError(f"unknown config keys: {sorted(unknown)}")
@@ -183,10 +186,23 @@ def _cmd_fit_eval(args) -> int:
     p = parse_probability(str(opts["p"]))
     params = experiments.DEFAULT_FIT
     if opts["constants"]:
-        params = experiments.FitParams(**{**params.__dict__, **dict(opts["constants"])})
+        params = experiments.FitParams(**{**params.__dict__, **_fit_constants(opts["constants"])})
     value = experiments.evaluate_fit(p, int(opts["n"]), params)
     _write_output(f"{value:.10g}\n", opts["output"])
     return 0
+
+
+def _fit_constants(constants) -> dict[str, float]:
+    """The config key 'constants': numbers for some of the FitParams fields."""
+    fields = sorted(experiments.DEFAULT_FIT.__dict__)
+    problem = (f"config key 'constants' must map fit constants {fields} to numbers, "
+               f"got {constants!r}")
+    if not isinstance(constants, dict) or not set(constants) <= set(fields):
+        raise CliError(problem)
+    try:
+        return {name: float(value) for name, value in constants.items()}
+    except (TypeError, ValueError):
+        raise CliError(problem) from None
 
 
 def _cmd_campaign(args) -> int:
@@ -195,12 +211,19 @@ def _cmd_campaign(args) -> int:
                                     max_steps=1_000_000, output=None, workers=1))
     if not opts["grid"]:
         raise CliError("a campaign needs a grid of [n, p] points (config key 'grid')")
-    grid = tuple((int(n), parse_probability(str(p))) for n, p in opts["grid"])
+    try:
+        grid = tuple((int(n), parse_probability(str(p))) for n, p in opts["grid"])
+    except (TypeError, ValueError):
+        raise CliError(f"config key 'grid' must be a list of [n, p] points, "
+                       f"got {opts['grid']!r}") from None
     noise = opts["noise"] or ("bitflip" if opts["backend"] == "ca" else "incoherent")
     config = experiments.CampaignConfig(str(opts["backend"]), str(opts["scheme"]), grid, noise,
                                         int(opts["trials"]), int(opts["seed"]),
                                         int(opts["max_steps"]), opts["output"])
     rows = experiments.run_campaign(config, int(opts["workers"]))
+    for row in rows:
+        if row.error is not None:
+            print(f"error at grid point n = {row.n}, p = {row.p}: {row.error}", file=sys.stderr)
     if config.output:
         with open(config.output + ".csv", "w") as fh:
             fh.write(experiments.rows_to_csv(rows))
@@ -267,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json"))
     p.add_argument("--dump-circuit", dest="dump_circuit",
                    help="write the step circuit as a plain-text gate list")
-    p.add_argument("--decompose", action="store_true",
+    p.add_argument("--decompose", action="store_true", default=None,
                    help="dump with Toffolis decomposed into 1- and 2-qubit gates")
 
     p = add("global-voting", _cmd_global_voting,

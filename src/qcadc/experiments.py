@@ -154,7 +154,7 @@ def qca_flip_times(scheme: str, n: int, p: float, noise_kind: str, trials: int,
         raise ValueError(f"scheme must be '232' or 'tlv', got {scheme!r}")
     check_cell_count(n)
     noise = NoiseModel(noise_kind, p)
-    stepper = (QcaStepper("q232" if scheme == "232" else "qtlv", n)
+    stepper = (QcaStepper("q232" if scheme == "232" else "qtlv", n, noise)
                if noise.kind in ("coherent", "depolarizing") else None)
     times = np.empty(trials, dtype=np.int64)
     for start in range(0, trials, TRAJECTORY_BATCH):
@@ -165,7 +165,7 @@ def qca_flip_times(scheme: str, n: int, p: float, noise_kind: str, trials: int,
                   for rng in streams]
         if stepper is not None:
             for k, rng, angle in zip(indices, streams, angles):
-                t = stepper.run_trajectory(noise, angle, max_steps, rng)
+                t = stepper.run_trajectory(angle, max_steps, rng)
                 times[k] = -1 if t is None else t
             continue
 

@@ -7,6 +7,7 @@ sums, and exhaustive enumerations.  Small and slow by design.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -228,3 +229,77 @@ def noisy_orbit(rule, n: int, p: float, steps: int, seed: int, trial: int) -> li
         cells = step_tlv(cells) if rule == "tlv" else step_elementary(cells, rule)
         states.append(cells)
     return states
+
+
+@dataclass(frozen=True)
+class LogicalRegisterMap:
+    """Which physical qubits of the dense 2n-qubit register hold the now and future registers.
+
+    Step circuits are written with now cell c on qubit c and future cell c on
+    qubit n + c.  After each reset the two register labels swap and no qubit
+    moves, so on even steps the circuit's qubit q acts on ``physical(q)``.
+    """
+    now: tuple[int, ...]
+    future: tuple[int, ...]
+
+    def swapped(self) -> "LogicalRegisterMap":
+        return LogicalRegisterMap(self.future, self.now)
+
+    def physical(self, q: int) -> int:
+        n = len(self.now)
+        return self.now[q] if q < n else self.future[q - n]
+
+    @classmethod
+    def initial(cls, n: int) -> "LogicalRegisterMap":
+        return cls(tuple(range(n)), tuple(range(n, 2 * n)))
+
+
+def depolarizing_flip_time(circuit, p: float, phi: float, max_steps: int,
+                           rng: np.random.Generator) -> int:
+    """First step whose sum<Z> < 0 in a per-gate depolarizing trajectory, -1 if none.
+
+    The 2n-qubit register is a list of plain-int basis indices with a numpy
+    complex amplitude each, starting at cos(phi)|0..0> + i sin(phi)|1..1> on
+    the now qubits, in the dense register's alternating labeling.  A
+    Toffoli or CNOT flips the target bit of every index whose control bits
+    are set; after each gate ``qsim.draw_depolarizing_kick`` draws the kick,
+    whose X and Y labels flip index bits (a Pauli's phase never changes a
+    magnitude, so it is dropped).  The reset draws with ``Generator.choice``
+    over the outcomes present, which is its draw over all 2^n outcomes
+    because zero weights add exactly, and divides the kept amplitudes by
+    the square root of the outcome's weight as the dense reset does.
+    sum<Z> is read from the popcount of the future half.
+    """
+    from qcadc import qsim
+
+    n = circuit.n_cells
+    mask = (1 << n) - 1
+    terms = [(0, math.cos(phi)), (mask, 1j * math.sin(phi))]
+    index = [b for b, a in terms if a]
+    amps = np.array([a for _, a in terms if a], dtype=complex)
+    regmap = LogicalRegisterMap.initial(n)
+    for t in range(1, max_steps + 1):
+        for gate in circuit.gates():
+            support = tuple(regmap.physical(q) for q in gate.qubits)
+            *controls, target = support
+            for j, b in enumerate(index):
+                if all(b >> c & 1 for c in controls):
+                    index[j] = b ^ 1 << target
+            labels = qsim.draw_depolarizing_kick(len(support), p, rng)
+            for q, label in zip(support, labels or ""):
+                if label in ("X", "Y"):
+                    index = [b ^ 1 << q for b in index]
+        outcome_of = [b >> regmap.now[0] & mask for b in index]
+        probs = np.abs(amps) ** 2
+        outcomes = sorted(set(outcome_of))
+        weights = [sum(w for w, o in zip(probs, outcome_of) if o == out) for out in outcomes]
+        chosen = outcomes[rng.choice(len(outcomes), p=np.array(weights) / sum(weights))]
+        kept = [j for j, o in enumerate(outcome_of) if o == chosen]
+        amps = amps[kept] / math.sqrt(weights[outcomes.index(chosen)])
+        index = [index[j] & ~(mask << regmap.now[0]) for j in kept]
+        future = [b >> regmap.future[0] & mask for b in index]
+        zsum = float(np.abs(amps) ** 2 @ np.array([n - 2.0 * bin(f).count("1") for f in future]))
+        if zsum < 0.0:
+            return t
+        regmap = regmap.swapped()
+    return -1

@@ -160,12 +160,11 @@ def test_circuit_export_format():
 def test_statevector_decoupling_exhaustive_small():
     # after one full step from a basis input the registers factorize exactly
     n = 4
-    stepper = QcaStepper("q232", n)
     for s in range(2**n):
         amps = np.zeros(1 << (2 * n), dtype=complex)
         amps[s] = 1.0
         state = StateVector(2 * n, amps)
-        for gate in stepper.circuit.gates():  # canonical qubits: the initial register map
+        for gate in build_q232_step(n).gates():  # canonical qubits: the initial register map
             apply_gate(state, gate)
         nonzero = np.nonzero(np.abs(state.amps) > 1e-12)[0]
         assert nonzero.size == 1  # still a basis state: registers factorized
@@ -183,7 +182,7 @@ def test_noiseless_preservation_unit(scheme):
 
 
 def test_initial_state_and_phi_validation():
-    stepper = QcaStepper("q232", 4)
+    stepper = QcaStepper("q232", 4, NoiseModel("none"))
     state = stepper.initial_state(0.3)
     assert state.amps[0] == pytest.approx(math.cos(0.3))
     assert state.amps[0b1111] == pytest.approx(1j * math.sin(0.3))

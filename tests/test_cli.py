@@ -131,6 +131,17 @@ def test_qca_run_decomposed_dump(tmp_path, capsys):
     assert "TOFFOLI" not in dump.read_text()
 
 
+@pytest.mark.parametrize("decompose, lines", [(True, 184), (False, 16)])
+def test_qca_run_reads_decompose_from_the_config(tmp_path, capsys, decompose, lines):
+    config, dump = tmp_path / "cfg.json", tmp_path / "circuit.txt"
+    config.write_text(json.dumps({"scheme": "q232", "n": 4, "decompose": decompose}))
+    code, _, _ = run_cli(capsys, "qca-run", "--config", str(config),
+                         "--dump-circuit", str(dump), "--trials", "0")
+    assert code == 0
+    assert len(dump.read_text().splitlines()) == lines
+    assert ("TOFFOLI" in dump.read_text()) != decompose
+
+
 @pytest.mark.parametrize("noise", ["none", "incoherent", "coherent", "depolarizing"])
 def test_qca_run_refuses_p_outside_unit_interval(capsys, noise):
     code, out, err = run_cli(capsys, "qca-run", "--scheme", "q232", "--n", "4",
@@ -155,16 +166,17 @@ def test_qca_run_refuses_a_logical_angle_outside_pi_over_4(capsys, phi):
     assert "|phi| < pi/4" in err
 
 
-@pytest.mark.parametrize("noise, n, code", [("coherent", "30", 1), ("depolarizing", "64", 1),
-                                           ("incoherent", "64", 0)])
+@pytest.mark.parametrize("noise, n, code", [("coherent", "30", 1), ("depolarizing", "64", 0),
+                                           ("depolarizing", "40000", 1), ("incoherent", "64", 0)])
 def test_qca_run_refuses_a_stepper_over_the_memory_budget(capsys, noise, n, code):
+    # A depolarizing stepper holds two 2n-bit indices, so only its n^2 gate masks count.
     got, out, err = run_cli(capsys, "qca-run", "--scheme", "qtlv", "--n", n, "--noise", noise,
                             "--p", "0.3", "--trials", "2", "--max-steps", "20")
     assert got == code
     if code:
         assert out == "" and f"a stepper on n = {n} cells needs ~" in err
     else:
-        assert out.splitlines()[1].startswith(f"tlv,qca,incoherent,{n},0.3,0,2,")
+        assert out.splitlines()[1].startswith(f"tlv,qca,{noise},{n},0.3,0,2,")
 
 
 @pytest.mark.parametrize("max_steps", ["0", "-3"])
@@ -324,6 +336,22 @@ def test_config_file_merge_flags_win(tmp_path, capsys):
     assert out_override.splitlines()[1].split(",")[6] == "60"
 
 
+@pytest.mark.parametrize("command, loaded, message", [
+    ("fit-eval", {"constants": {"zz": 1}}, "to numbers, got {'zz': 1}"),
+    ("fit-eval", {"constants": {"c0": "abc"}}, "to numbers, got {'c0': 'abc'}"),
+    ("fit-eval", {"constants": 5}, "config key 'constants' must map fit constants ['a1', "),
+    ("campaign", {"grid": 5}, "config key 'grid' must be a list of [n, p] points, got 5"),
+    ("campaign", {"grid": [[4, "0.1", 3]]}, "config key 'grid' must be a list of [n, p] points"),
+    ("flip-time", [1, 2], "config file must hold a JSON object of flag values, got list"),
+])
+def test_malformed_config_values_exit_1(tmp_path, capsys, command, loaded, message):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(loaded))
+    code, out, err = run_cli(capsys, command, "--config", str(config))
+    assert code == 1 and out == ""
+    assert message in err
+
+
 def test_config_rejects_unknown_keys(tmp_path, capsys):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"bogus": 1}))
@@ -351,6 +379,21 @@ def test_campaign_writes_deterministic_files(tmp_path, capsys):
     assert summary["config"]["master_seed"] == 9
     meta = json.loads((tmp_path / "out_a.meta.json").read_text())
     assert "finished_at" in meta
+
+
+def test_campaign_reports_failed_grid_points_on_stderr(tmp_path, capsys):
+    cfg = tmp_path / "campaign.json"
+    cfg.write_text(json.dumps({"backend": "qca", "scheme": "tlv", "noise": "coherent",
+                               "grid": [[30, "0.1"], [4, "0.1"]], "trials": 2, "max_steps": 5}))
+    code, out, err = run_cli(capsys, "campaign", "--config", str(cfg))
+    assert code == 0
+    assert out.splitlines()[1] == "tlv,qca,coherent,30,0.1,0,2,,,,"
+    for text in (err, run_cli(capsys, "campaign", "--config", str(cfg),
+                              "--output", str(tmp_path / "out"))[2]):
+        assert text.splitlines() == [
+            "error at grid point n = 30, p = 0.1: ValueError: a stepper on n = 30 cells needs "
+            "~412,316,860,416 bytes, over the 2,147,483,648-byte budget"]
+    assert (tmp_path / "out.csv").read_text() == out
 
 
 def test_campaign_requires_grid(capsys):

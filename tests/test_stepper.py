@@ -1,6 +1,7 @@
 """QCA trajectories: recorded flip times, exact reset sums, and a gate-level
 oracle on the full 2n-qubit register for the n-qubit and the sparse
-depolarizing steps and for the incoherent runs on the classical engine."""
+depolarizing steps and for the incoherent runs on the classical engine,
+with a plain-int register as the reference for wide depolarizing runs."""
 import json
 import math
 from fractions import Fraction
@@ -11,13 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcadc import qsim
-from qcadc.circuits import (ExactBlockSum, LogicalRegisterMap, NoiseModel, QcaStepper,
-                            build_step, trajectory_rng, two_term_outcome)
+from qcadc import circuits, qsim
+from qcadc.circuits import (ExactBlockSum, NoiseModel, QcaStepper, build_step, trajectory_rng,
+                            two_term_outcome)
 from qcadc.experiments import qca_flip_times
 from qcadc.qsim import (Gate, SparseRegister, StateVector, apply_depolarizing_after_gate,
                         apply_gate, expectation_z_sum, measure_reset)
-from oracles import step_elementary, step_tlv
+from oracles import LogicalRegisterMap, depolarizing_flip_time, step_elementary, step_tlv
 
 RECORDED = json.loads((Path(__file__).parent / "data" / "qca_flip_times.json").read_text())
 
@@ -91,11 +92,6 @@ def test_two_term_outcome_draws_what_choice_draws(n, data, seed, terms, at_bound
 # Oracle: the step circuit applied gate by gate to the 2n-qubit register
 # ---------------------------------------------------------------------------
 
-def _physical(gate, regmap, n):
-    return Gate(gate.kind, tuple(regmap.now[q] if q < n else regmap.future[q - n]
-                                 for q in gate.qubits))
-
-
 def _oracle_step(scheme, n, register, regmap, noise, rng):
     """Noise, gates, measure-reset; returns (pre-reset amplitudes, sum<Z>)."""
     if noise.kind == "incoherent":
@@ -106,7 +102,7 @@ def _oracle_step(scheme, n, register, regmap, noise, rng):
         for q in regmap.now:
             apply_gate(register, Gate("RX", (q,), noise.theta))
     for gate in build_step(scheme, n).gates():
-        physical = _physical(gate, regmap, n)
+        physical = Gate(gate.kind, tuple(regmap.physical(q) for q in gate.qubits))
         apply_gate(register, physical)
         if noise.kind == "depolarizing":
             apply_depolarizing_after_gate(register, physical.qubits, noise.p, rng)
@@ -130,14 +126,14 @@ def _dense_register(n, phi):
     return register
 
 
-def _future_state(state, n, regmap):
-    """The post-step now register as an n-qubit vector; a sparse register's now qubits are 0
-    and its entries are magnitudes."""
+def _future_state(state, n):
+    """The post-step now register as an n-qubit vector; a sparse register holds it in its
+    low n bits, the high n bits 0, and its entries are magnitudes."""
     if not isinstance(state, SparseRegister):
         return state.amps
-    assert all(b >> regmap.now[0] & ((1 << n) - 1) == 0 for b in state.index)
+    assert all(b >> n == 0 for b in state.index)
     amps = np.zeros(1 << n)
-    amps[[b >> regmap.future[0] & ((1 << n) - 1) for b in state.index]] = state.amps
+    amps[state.index] = state.amps
     return amps
 
 
@@ -158,23 +154,20 @@ def _outcomes_leaving(pre, post, n, now_is_lower):
                                    NoiseModel("depolarizing", 1.0)],
                          ids=lambda m: f"{m.kind}-{m.p}" if m.kind == "depolarizing" else m.kind)
 def test_step_matches_gate_level_register(scheme, n, noise):
-    stepper = QcaStepper(scheme, n)
+    stepper = QcaStepper(scheme, n, noise)
     for trial in range(3):
         rng, oracle_rng = trajectory_rng(11, trial), trajectory_rng(11, trial)
         phi = rng.uniform(-math.pi / 4, math.pi / 4)
         oracle_rng.uniform(-math.pi / 4, math.pi / 4)
         regmap = LogicalRegisterMap.initial(n)
-        if noise.kind == "depolarizing":
-            state = stepper.initial_register(phi)
-        else:
-            state = stepper.initial_state(phi)
+        state = stepper.initial_state(phi)
         register = _dense_register(n, phi)
-        for _ in range(25):
+        for t in range(1, 26):
             now_is_lower = regmap.now[0] == 0
-            zsum = stepper.step_with_zsum(state, regmap, noise, rng)
+            zsum = stepper.step_with_zsum(state, t, rng)
             pre, oracle_zsum = _oracle_step(scheme, n, register, regmap, noise, oracle_rng)
             post = _future_columns(register.amps, n, now_is_lower)[0]
-            future = _future_state(state, n, regmap)
+            future = _future_state(state, n)
             if noise.kind == "depolarizing":  # the sparse register holds magnitudes
                 pre, post = np.abs(pre), np.abs(post)
             assert np.abs(future - post).max() < 1e-12
@@ -184,7 +177,8 @@ def test_step_matches_gate_level_register(scheme, n, noise):
             if noise.kind == "depolarizing":  # the same terms, bit for bit
                 nonzero = np.flatnonzero(register.amps)
                 order = np.argsort(state.index)
-                assert nonzero.tolist() == sorted(state.index)
+                # The dense register's now bits are 0, so its future bits order its terms.
+                assert [b >> regmap.future[0] for b in nonzero] == sorted(state.index)
                 amps = register.amps[nonzero]
                 assert np.abs(amps).tobytes() == state.amps[order].tobytes()
                 # Each amplitude lies on the real or the imaginary axis, so its
@@ -252,16 +246,24 @@ def test_noiseless_runs_end_censored(scheme, n):
 
 
 def test_stepper_refuses_incoherent_steps():
-    stepper = QcaStepper("q232", 4)
     with pytest.raises(ValueError, match="qca_flip_times"):
-        stepper.step_with_zsum(stepper.initial_state(0.1), LogicalRegisterMap.initial(4),
-                               NoiseModel("incoherent", 0.1), np.random.default_rng(0))
+        QcaStepper("q232", 4, NoiseModel("incoherent", 0.1))
 
 
 @pytest.mark.parametrize("n", [30, 64])
 def test_stepper_refuses_sizes_over_the_memory_budget(n):
     with pytest.raises(ValueError, match=f"n = {n} cells needs ~[0-9,]+ bytes"):
-        QcaStepper("qtlv", n)
+        QcaStepper("qtlv", n, NoiseModel("coherent", 0.1))
+
+
+def test_depolarizing_stepper_refuses_n_over_its_estimate_before_building(monkeypatch):
+    def build_step(*args):
+        raise AssertionError("the step circuit was built")
+    monkeypatch.setattr(circuits, "build_step", build_step)
+    n = 40_000
+    assert circuits.DEPOLARIZING_BYTES_PER_CELL_SQUARED * n * n > circuits.STEPPER_BYTES_BUDGET
+    with pytest.raises(ValueError, match=f"n = {n} cells needs ~[0-9,]+ bytes"):
+        QcaStepper("qtlv", n, NoiseModel("depolarizing", 0.1))
 
 
 @pytest.mark.parametrize("n", [3, 7, 2, 0])
@@ -281,31 +283,30 @@ def test_qca_flip_times_refuses_the_stepper_scheme_names():
 def test_depolarizing_step_without_kicks_matches_noiseless_step(scheme):
     # At p = 0 the gate-by-gate path draws only the reset, like the n-qubit path.
     n = 6
-    stepper = QcaStepper(scheme, n)
+    stepper = QcaStepper(scheme, n, NoiseModel("none"))
+    sparse_stepper = QcaStepper(scheme, n, NoiseModel("depolarizing", 0.0))
     rng, register_rng = np.random.default_rng(3), np.random.default_rng(3)
-    regmap = LogicalRegisterMap.initial(n)
     state = stepper.initial_state(0.4)
-    register = stepper.initial_register(0.4)
-    for _ in range(6):
-        zsum = stepper.step_with_zsum(state, regmap, NoiseModel("none"), rng)
-        register_zsum = stepper.step_with_zsum(register, regmap,
-                                               NoiseModel("depolarizing", 0.0), register_rng)
-        future = _future_state(register, n, regmap)
+    register = sparse_stepper.initial_state(0.4)
+    for t in range(1, 7):
+        zsum = stepper.step_with_zsum(state, t, rng)
+        register_zsum = sparse_stepper.step_with_zsum(register, t, register_rng)
+        future = _future_state(register, n)
         assert np.abs(state.amps).tobytes() == future.tobytes()
         assert abs(zsum - register_zsum) < 1e-12
-        regmap = regmap.swapped()
 
 
 def test_step_refuses_a_state_of_the_wrong_size():
-    stepper = QcaStepper("q232", 4)
-    regmap = LogicalRegisterMap.initial(4)
+    coherent = QcaStepper("q232", 4, NoiseModel("coherent", 0.1))
+    depolarizing = QcaStepper("q232", 4, NoiseModel("depolarizing", 0.1))
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        stepper.step_with_zsum(stepper.initial_state(0.1), regmap,
-                               NoiseModel("depolarizing", 0.1), rng)
+        depolarizing.step_with_zsum(coherent.initial_state(0.1), 1, rng)
     with pytest.raises(ValueError):
-        stepper.step_with_zsum(stepper.initial_register(0.1), regmap,
-                               NoiseModel("coherent", 0.1), rng)
+        coherent.step_with_zsum(depolarizing.initial_state(0.1), 1, rng)
+    with pytest.raises(ValueError):
+        coherent.step_with_zsum(QcaStepper("q232", 6, NoiseModel("none")).initial_state(0.1),
+                                1, rng)
 
 
 def test_sparse_register_refuses_a_third_amplitude():
@@ -322,8 +323,7 @@ def test_sparse_register_refuses_a_third_amplitude():
 
 @pytest.mark.parametrize("phi", [0.3, -0.3, 0.0, -0.0])
 def test_initial_register_holds_the_dense_initial_magnitudes(phi):
-    stepper = QcaStepper("q232", 4)
-    register = stepper.initial_register(phi)
+    register = QcaStepper("q232", 4, NoiseModel("depolarizing", 0.1)).initial_state(phi)
     dense = _dense_register(4, phi).amps
     assert register.index == np.flatnonzero(dense).tolist()
     assert register.amps.tobytes() == np.abs(dense[register.index]).tobytes()
@@ -348,12 +348,27 @@ def test_every_depolarizing_kick_goes_through_apply_pauli_string(monkeypatch, sc
     monkeypatch.setattr(qsim, "apply_pauli_string",
                         lambda state, support, labels: applied.append(labels)
                         or apply(state, support, labels))
-    stepper = QcaStepper(scheme, n)
+    stepper = QcaStepper(scheme, n, noise)
     for trial in range(3):
-        rng, state = trajectory_rng(5, trial), stepper.initial_register(phi)
-        regmap = LogicalRegisterMap.initial(n)
-        for _ in range(steps):
-            stepper.step_with_zsum(state, regmap, noise, rng)
-            regmap = regmap.swapped()
+        rng, state = trajectory_rng(5, trial), stepper.initial_state(phi)
+        for t in range(1, steps + 1):
+            stepper.step_with_zsum(state, t, rng)
     kicks = [labels for labels in drawn if labels is not None]
     assert len(kicks) > 20 and applied == kicks
+
+
+@pytest.mark.parametrize("scheme", ["232", "tlv"])
+@pytest.mark.parametrize("n, p", [(64, 0.0), (64, 0.1), (256, 0.0), (256, 0.2)])
+def test_depolarizing_runs_at_wide_lattices_match_the_plain_int_register(scheme, n, p):
+    # The sparse register holds two 2n-bit indices at any n; the reference steps the same
+    # trajectories in the dense register's alternating labeling.
+    trials, seed, max_steps = 4, 13, 12
+    times = qca_flip_times(scheme, n, p, "depolarizing", trials, seed, max_steps)
+    circuit = build_step("q" + scheme, n)
+    expected = []
+    for k in range(trials):
+        rng = trajectory_rng(seed, k)
+        phi = rng.uniform(-math.pi / 4, math.pi / 4)
+        expected.append(depolarizing_flip_time(circuit, p, phi, max_steps, rng))
+    assert times.tolist() == expected
+    assert (times > 0).any() == (p > 0)
