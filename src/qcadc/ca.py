@@ -130,12 +130,11 @@ class FlipTimeStats:
 
 
 def _batch_flip_times(n: int, rule: RuleKind, p: float, seed: int,
-                      trial_indices: np.ndarray, max_steps: int,
-                      noise: Callable[[np.ndarray, int], np.ndarray] | None = None) -> np.ndarray:
+                      trial_indices: np.ndarray, max_steps: int) -> np.ndarray:
     """Flip step per trial (first step whose post-update majority is 1), -1 if censored.
 
     Rows of the still-running trials ``live`` are compacted as trials flip, so
-    each step draws flips for exactly those: ``noise(live, t)`` or the hash.
+    each step hashes flips for exactly those.
     """
     if max_steps <= 0:
         raise ValueError("max_steps must be positive")
@@ -149,16 +148,15 @@ def _batch_flip_times(n: int, rule: RuleKind, p: float, seed: int,
 
     need = n // 2  # strict majority means ones > n/2
     for t in range(1, max_steps + 1):
-        flips = rng.bernoulli_matrix(seed, live, t, n, p) if noise is None else noise(live, t)
-        rows ^= packed.pack_bits(flips)
+        if active.size == 0:
+            break
+        rows ^= packed.pack_bits(rng.bernoulli_matrix(seed, live, t, n, p))
         rows = step(rows)
         flipped = packed.popcount(rows) > need
         if flipped.any():
             result[active[flipped]] = t
             keep = ~flipped
             active, live, rows = active[keep], live[keep], rows[keep]
-            if active.size == 0:
-                break
     return result
 
 

@@ -43,8 +43,23 @@ def _write_output(text: str, path: str | None) -> None:
             fh.write(text)
 
 
+def _config_value(key: str, value, action: argparse.Action):
+    """``value`` checked with the type and choices of the flag ``action``."""
+    try:
+        if isinstance(value, bool) != (action.nargs == 0) or not isinstance(value, (str, int, float)):
+            raise ValueError  # a store_true flag takes a bool, any other flag a string or number
+        checked = value if action.type is None else action.type(str(value))
+        if action.choices is not None and checked not in action.choices:
+            raise ValueError
+    except ValueError:
+        wanted = ("true or false" if action.nargs == 0 else " or ".join(action.choices)
+                  if action.choices else (action.type or str).__name__)
+        raise CliError(f"config key {key!r} takes {wanted}, got {value!r}") from None
+    return checked
+
+
 def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
-    """defaults < JSON config file < explicit flags."""
+    """defaults < JSON config file < explicit flags; a null config value keeps the default."""
     merged = dict(defaults)
     if getattr(args, "config", None):
         with open(args.config) as fh:
@@ -55,7 +70,9 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
         unknown = set(loaded) - set(defaults)
         if unknown:
             raise CliError(f"unknown config keys: {sorted(unknown)}")
-        merged.update(loaded)
+        flags = {action.dest: action for action in args.command_parser._actions}
+        merged.update({key: _config_value(key, value, flags[key]) if key in flags else value
+                       for key, value in loaded.items() if value is not None})
     for key in defaults:
         value = getattr(args, key, None)
         if value is not None:
@@ -82,10 +99,9 @@ def _rule_kind(text: str) -> ca.RuleKind:
 def _cmd_ca_orbit(args) -> int:
     opts = _merge_config(args, dict(rule="232", n=12, p="0.1", steps=40, seed=0,
                                     trial=0, output=None))
-    rule = _rule_kind(str(opts["rule"]))
-    p = parse_probability(str(opts["p"]))
-    orbit = ca.noisy_orbit(rule, int(opts["n"]), p, int(opts["steps"]),
-                           int(opts["seed"]), int(opts["trial"]))
+    rule = _rule_kind(opts["rule"])
+    p = parse_probability(opts["p"])
+    orbit = ca.noisy_orbit(rule, opts["n"], p, opts["steps"], opts["seed"], opts["trial"])
     _write_output("\n".join(ca.orbit_lines(rule, orbit)) + "\n", opts["output"])
     return 0
 
@@ -100,11 +116,10 @@ def _stats_text(rows: list[experiments.CampaignRow], fmt: str,
 def _cmd_flip_time(args) -> int:
     opts = _merge_config(args, dict(rule="tlv", n=12, p="11/72", trials=10000, seed=0,
                                     max_steps=1_000_000, output=None, format="csv"))
-    rule = _rule_kind(str(opts["rule"]))
-    p = parse_probability(str(opts["p"]))
-    n = int(opts["n"])
-    stats = ca.flip_time_stats(n, rule, p, int(opts["trials"]), int(opts["seed"]),
-                               int(opts["max_steps"]))
+    rule = _rule_kind(opts["rule"])
+    p = parse_probability(opts["p"])
+    n = opts["n"]
+    stats = ca.flip_time_stats(n, rule, p, opts["trials"], opts["seed"], opts["max_steps"])
     scheme = "tlv" if rule == "tlv" else str(rule)
     row = experiments.CampaignRow.from_stats(scheme, "ca", "bitflip", n, p, stats)
     _write_output(_stats_text([row], opts["format"]), opts["output"])
@@ -116,11 +131,7 @@ def _cmd_qca_run(args) -> int:
                                     trials=100, seed=0, max_steps=10_000, phi=None,
                                     output=None, format="csv", dump_circuit=None,
                                     decompose=False))
-    scheme = str(opts["scheme"])
-    if scheme not in ("q232", "qtlv"):
-        raise CliError(f"scheme must be q232 or qtlv, got {scheme!r}")
-    n = int(opts["n"])
-    trials = int(opts["trials"])
+    scheme, n, trials = opts["scheme"], opts["n"], opts["trials"]
     if opts["dump_circuit"] is not None:
         circuit = build_step(scheme, n)
         if opts["decompose"]:
@@ -130,12 +141,11 @@ def _cmd_qca_run(args) -> int:
             return 0
     if trials < 1:
         raise CliError("need at least one trial")
-    noise_kind = str(opts["noise"])
-    p = parse_probability(str(opts["p"]))
-    phi = None if opts["phi"] is None else float(opts["phi"])
+    noise_kind = opts["noise"]
+    p = parse_probability(opts["p"])
     row_scheme = "232" if scheme == "q232" else "tlv"
     times = experiments.qca_flip_times(row_scheme, n, p, noise_kind, trials,
-                                       int(opts["seed"]), int(opts["max_steps"]), phi)
+                                       opts["seed"], opts["max_steps"], opts["phi"])
     stats = ca.summarize_flip_times(times)
     row = experiments.CampaignRow.from_stats(row_scheme, "qca", noise_kind, n, p, stats)
     _write_output(_stats_text([row], opts["format"]), opts["output"])
@@ -144,8 +154,8 @@ def _cmd_qca_run(args) -> int:
 
 def _cmd_global_voting(args) -> int:
     opts = _merge_config(args, dict(n=10, p="0.1", delta=0, output=None, format="csv"))
-    p_fraction = parse_fraction(str(opts["p"]))
-    params = voting.VotingParams(int(opts["n"]), p_fraction, int(opts["delta"]))
+    p_fraction = parse_fraction(opts["p"])
+    params = voting.VotingParams(opts["n"], p_fraction, opts["delta"])
     result = voting.mean_flip_time(params)
     values = dict(p=float(p_fraction), n=params.n, delta=params.delta,
                   P=float(result.probability), T_F_periods=float(result.periods),
@@ -160,7 +170,7 @@ def _cmd_global_voting(args) -> int:
 
 def _cmd_heisenberg_check(args) -> int:
     opts = _merge_config(args, dict(scheme="both", output=None))
-    schemes = ("q232", "qtlv") if opts["scheme"] == "both" else (str(opts["scheme"]),)
+    schemes = ("q232", "qtlv") if opts["scheme"] == "both" else (opts["scheme"],)
     lines = []
     all_passed = True
     for scheme in schemes:
@@ -183,11 +193,11 @@ def _cmd_rules_audit(args) -> int:
 
 def _cmd_fit_eval(args) -> int:
     opts = _merge_config(args, dict(p="1/10", n=12, constants=None, output=None))
-    p = parse_probability(str(opts["p"]))
+    p = parse_probability(opts["p"])
     params = experiments.DEFAULT_FIT
     if opts["constants"]:
         params = experiments.FitParams(**{**params.__dict__, **_fit_constants(opts["constants"])})
-    value = experiments.evaluate_fit(p, int(opts["n"]), params)
+    value = experiments.evaluate_fit(p, opts["n"], params)
     _write_output(f"{value:.10g}\n", opts["output"])
     return 0
 
@@ -209,18 +219,19 @@ def _cmd_campaign(args) -> int:
     opts = _merge_config(args, dict(backend="ca", scheme="tlv", grid=None,
                                     noise=None, trials=1000, seed=0,
                                     max_steps=1_000_000, output=None, workers=1))
-    if not opts["grid"]:
+    points = opts["grid"]
+    if not points:
         raise CliError("a campaign needs a grid of [n, p] points (config key 'grid')")
-    try:
-        grid = tuple((int(n), parse_probability(str(p))) for n, p in opts["grid"])
-    except (TypeError, ValueError):
-        raise CliError(f"config key 'grid' must be a list of [n, p] points, "
-                       f"got {opts['grid']!r}") from None
+    if not isinstance(points, list) or not all(
+            isinstance(point, list) and len(point) == 2 and type(point[0]) is int
+            for point in points):
+        raise CliError(f"config key 'grid' must be a list of [n, p] points, got {points!r}")
+    grid = tuple((n, parse_probability(str(p))) for n, p in points)
     noise = opts["noise"] or ("bitflip" if opts["backend"] == "ca" else "incoherent")
-    config = experiments.CampaignConfig(str(opts["backend"]), str(opts["scheme"]), grid, noise,
-                                        int(opts["trials"]), int(opts["seed"]),
-                                        int(opts["max_steps"]), opts["output"])
-    rows = experiments.run_campaign(config, int(opts["workers"]))
+    config = experiments.CampaignConfig(opts["backend"], opts["scheme"], grid, noise,
+                                        opts["trials"], opts["seed"], opts["max_steps"],
+                                        opts["output"])
+    rows = experiments.run_campaign(config, opts["workers"])
     for row in rows:
         if row.error is not None:
             print(f"error at grid point n = {row.n}, p = {row.p}: {row.error}", file=sys.stderr)
@@ -250,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name, func, help_text):
         p = sub.add_parser(name, help=help_text, description=help_text)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, command_parser=p)
         p.add_argument("--config", help="JSON file with default values for the flags")
         p.add_argument("--output", help="write the primary output to this file")
         return p

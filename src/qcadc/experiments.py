@@ -7,8 +7,9 @@ its own stream seed from (master seed, grid index), so results do not
 depend on worker count or evaluation order.
 
 ``qca_flip_times`` picks the engine for QCA trajectories: incoherent and
-noiseless runs are exact CA runs on each trajectory's own stream, coherent
-and depolarizing runs step the quantum state.
+noiseless trajectory k is trial k of the classical flip-time Monte Carlo
+at the same seed, on the same counter-hash noise; coherent and
+depolarizing runs step the quantum state on one RNG stream per trajectory.
 """
 from __future__ import annotations
 
@@ -131,54 +132,38 @@ def point_seed(master_seed: int, index: int) -> int:
     return derive_seed(master_seed, index)
 
 
-# Trajectories whose streams are held at once (~1 KB each).
-TRAJECTORY_BATCH = 1 << 14
-
-
 def qca_flip_times(scheme: str, n: int, p: float, noise_kind: str, trials: int,
                    seed: int, max_steps: int, phi: float | None = None) -> np.ndarray:
-    """Flip step of each trajectory k < trials of ``scheme`` ("232" or "tlv")
-    on ``trajectory_rng(seed, k)`` (-1 if censored), its logical angle ``phi``
-    or the stream's first draw.  Bit flips and the self-dual rule M keep the
-    state a pair a|b> + c|~b>, |a| > |c|, whose terms share the reset outcome
-    b ^ M(b), so sum<Z> < 0 exactly when M(b) has a strict majority of 1s:
-    incoherent and noiseless runs are CA runs.  Each of their steps draws n
-    flip values (< p) and the discarded reset value from the trajectory's
-    stream; noiseless runs draw nothing.
+    """Flip step of each trajectory k < trials of ``scheme`` ("232" or "tlv"), -1 if
+    censored.  Bit flips and the self-dual rule M keep the state a pair
+    a|b> + c|~b>, |a| > |c|, whose terms share the reset outcome b ^ M(b), so
+    sum<Z> < 0 exactly when M(b) has a strict majority of 1s: at any angle,
+    incoherent and noiseless (p = 0) trajectory k is trial k of the flip-time
+    Monte Carlo at ``seed``.  Coherent and depolarizing trajectory k steps the
+    quantum state on ``trajectory_rng(seed, k)`` from the logical angle ``phi``
+    or the stream's first draw.
     """
     if max_steps <= 0:
         raise ValueError("max_steps must be positive")
+    if trials < 0:
+        raise ValueError(f"the trajectory count must be non-negative, got {trials}")
     if phi is not None and not abs(phi) < math.pi / 4:
         raise ValueError("the logical angle must satisfy |phi| < pi/4")
     if scheme not in ("232", "tlv"):
         raise ValueError(f"scheme must be '232' or 'tlv', got {scheme!r}")
     check_cell_count(n)
     noise = NoiseModel(noise_kind, p)
-    stepper = (QcaStepper("q232" if scheme == "232" else "qtlv", n, noise)
-               if noise.kind in ("coherent", "depolarizing") else None)
+    if noise.kind in ("none", "incoherent"):
+        return ca._batch_flip_times(n, 232 if scheme == "232" else "tlv",
+                                    noise.p if noise.kind == "incoherent" else 0.0,
+                                    seed, np.arange(trials), max_steps)
+    stepper = QcaStepper("q232" if scheme == "232" else "qtlv", n, noise)
     times = np.empty(trials, dtype=np.int64)
-    for start in range(0, trials, TRAJECTORY_BATCH):
-        indices = range(start, min(start + TRAJECTORY_BATCH, trials))
-        streams = [trajectory_rng(seed, k) for k in indices]
-        # Every stream draws its angle first; only the quantum engine reads it.
-        angles = [rng.uniform(-math.pi / 4, math.pi / 4) if phi is None else phi
-                  for rng in streams]
-        if stepper is not None:
-            for k, rng, angle in zip(indices, streams, angles):
-                t = stepper.run_trajectory(angle, max_steps, rng)
-                times[k] = -1 if t is None else t
-            continue
-
-        def flips(live: np.ndarray, t: int) -> np.ndarray:
-            if noise.kind == "none":
-                return np.zeros((live.size, n), dtype=bool)
-            draws = np.empty((live.size, n + 1))
-            for row, k in zip(draws, live):
-                streams[k - start].random(out=row)
-            return draws[:, :n] < p
-
-        times[indices] = ca._batch_flip_times(n, 232 if scheme == "232" else "tlv", p, seed,
-                                              np.array(indices), max_steps, flips)
+    for k in range(trials):
+        rng = trajectory_rng(seed, k)
+        angle = rng.uniform(-math.pi / 4, math.pi / 4) if phi is None else phi
+        t = stepper.run_trajectory(angle, max_steps, rng)
+        times[k] = -1 if t is None else t
     return times
 
 

@@ -212,9 +212,9 @@ def test_qca_flip_times_deterministic(noise):
 
 
 def test_incoherent_trajectories_match_classical_distribution():
-    # incoherent bit flips keep trajectories classical: flip-time means of the
-    # trajectory streams and of the classical engine's hashed noise agree
-    # within sampling error
+    # incoherent bit flips keep trajectories classical: their flip-time mean at
+    # one seed and the classical engine's at another agree within sampling
+    # error
     n, p, trials = 6, 0.25, 400
     times = qca_flip_times("232", n, p, "incoherent", trials, seed=31, max_steps=5000)
     times = times[times > 0].astype(float)

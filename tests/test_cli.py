@@ -306,13 +306,14 @@ def test_campaign_refuses_a_negative_seed(tmp_path, capsys, backend, noise):
     assert not (tmp_path / "out.csv").exists()
 
 
-# Rows recorded from the qca-run trajectory loop before it was routed
-# through the campaign's; a sampled angle and a fixed --phi draw different
-# amounts from each trajectory's stream.
+# The coherent row was recorded from the qca-run trajectory loop before it
+# was routed through the campaign's; a sampled angle and a fixed --phi draw
+# different amounts from each trajectory's stream.  The incoherent row is
+# flip-time's at the same seed.
 @pytest.mark.parametrize("args, expected", [
     (("--scheme", "qtlv", "--n", "6", "--p", "1/12", "--noise", "incoherent",
       "--trials", "60", "--seed", "3", "--max-steps", "400"),
-     "tlv,qca,incoherent,6,0.08333333333,0,60,0,68.06666667,59.4251749,7.671757092\n"),
+     "tlv,qca,incoherent,6,0.08333333333,0,60,0,66.75,61.73854797,7.97041227\n"),
     (("--scheme", "q232", "--n", "6", "--p", "1/8", "--noise", "coherent",
       "--trials", "60", "--seed", "5", "--max-steps", "400", "--phi", "0.3"),
      "232,qca,coherent,6,0.125,0,60,0,21.46666667,18.1551381,2.343818251\n"),
@@ -321,6 +322,20 @@ def test_qca_run_rows_are_pinned(capsys, args, expected):
     code, out, _ = run_cli(capsys, "qca-run", *args)
     assert code == 0
     assert out == "scheme,backend,noise,n,p,delta,trials,censored,mean,stddev,stderr\n" + expected
+
+
+def test_incoherent_qca_run_prints_the_flip_time_row(capsys):
+    # Incoherent trajectory k is trial k of flip-time at the same seed.
+    common = ("--n", "6", "--p", "1/12", "--trials", "60", "--seed", "3", "--max-steps", "400")
+    code, qca_out, _ = run_cli(capsys, "qca-run", "--scheme", "qtlv", "--noise", "incoherent",
+                               *common)
+    assert code == 0
+    code, ca_out, _ = run_cli(capsys, "flip-time", "--rule", "tlv", *common)
+    assert code == 0
+    qca_row, ca_row = qca_out.splitlines()[1].split(","), ca_out.splitlines()[1].split(",")
+    assert qca_row[1:3] == ["qca", "incoherent"] and ca_row[1:3] == ["ca", "bitflip"]
+    assert qca_row[3:] == ca_row[3:]
+    assert qca_row[-3:] == ["66.75", "61.73854797", "7.97041227"]
 
 
 def test_config_file_merge_flags_win(tmp_path, capsys):
@@ -343,6 +358,16 @@ def test_config_file_merge_flags_win(tmp_path, capsys):
     ("campaign", {"grid": 5}, "config key 'grid' must be a list of [n, p] points, got 5"),
     ("campaign", {"grid": [[4, "0.1", 3]]}, "config key 'grid' must be a list of [n, p] points"),
     ("flip-time", [1, 2], "config file must hold a JSON object of flag values, got list"),
+    # Each value goes through its flag's type and choices, and a bool flag takes a bool.
+    ("flip-time", {"format": "xml"}, "config key 'format' takes csv or json, got 'xml'"),
+    ("flip-time", {"n": "abc"}, "config key 'n' takes int, got 'abc'"),
+    ("flip-time", {"trials": 2.9, "seed": True}, "config key 'trials' takes int, got 2.9"),
+    ("flip-time", {"seed": True}, "config key 'seed' takes int, got True"),
+    ("campaign", {"backend": "qca", "scheme": "tlv", "grid": [[8.7, "1/12"]]},
+     "config key 'grid' must be a list of [n, p] points, got [[8.7, '1/12']]"),
+    ("qca-run", {"decompose": "no", "dump_circuit": "-", "trials": 0},
+     "config key 'decompose' takes true or false, got 'no'"),
+    ("qca-run", {"phi": [0.3]}, "config key 'phi' takes float, got [0.3]"),
 ])
 def test_malformed_config_values_exit_1(tmp_path, capsys, command, loaded, message):
     config = tmp_path / "cfg.json"

@@ -1,7 +1,8 @@
 """QCA trajectories: recorded flip times, exact reset sums, and a gate-level
 oracle on the full 2n-qubit register for the n-qubit and the sparse
-depolarizing steps and for the incoherent runs on the classical engine,
-with a plain-int register as the reference for wide depolarizing runs."""
+depolarizing steps and for the incoherent runs, which are trials of the
+classical flip-time Monte Carlo, with a plain-int register as the
+reference for wide depolarizing runs."""
 import json
 import math
 from fractions import Fraction
@@ -12,12 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcadc import circuits, qsim
+from qcadc import ca, circuits, qsim
 from qcadc.circuits import (ExactBlockSum, NoiseModel, QcaStepper, build_step, trajectory_rng,
                             two_term_outcome)
 from qcadc.experiments import qca_flip_times
 from qcadc.qsim import (Gate, SparseRegister, StateVector, apply_depolarizing_after_gate,
                         apply_gate, expectation_z_sum, measure_reset)
+from qcadc.rng import bernoulli_matrix
 from oracles import LogicalRegisterMap, depolarizing_flip_time, step_elementary, step_tlv
 
 RECORDED = json.loads((Path(__file__).parent / "data" / "qca_flip_times.json").read_text())
@@ -26,9 +28,10 @@ RECORDED = json.loads((Path(__file__).parent / "data" / "qca_flip_times.json").r
 @pytest.mark.parametrize("case", RECORDED,
                          ids=[f"{c['scheme']}-{c['n']}-{c['noise']}" for c in RECORDED])
 def test_flip_times_match_recorded_arrays(case):
-    # Recorded with the 2n-qubit permutation stepper.  Several trajectories
-    # reach sum<Z> = 0 up to rounding, so a reset summed in any other order
-    # changes their flip times.
+    # Coherent and depolarizing arrays were recorded with the 2n-qubit
+    # permutation stepper.  Several of their trajectories reach sum<Z> = 0 up
+    # to rounding, so a reset summed in any other order changes their flip
+    # times.  The incoherent array is the flip-time Monte Carlo at its seed.
     times = qca_flip_times(case["scheme"], case["n"], float(Fraction(case["p"])),
                            case["noise"], case["trials"], case["seed"], case["max_steps"])
     assert times.tolist() == case["times"]
@@ -92,11 +95,12 @@ def test_two_term_outcome_draws_what_choice_draws(n, data, seed, terms, at_bound
 # Oracle: the step circuit applied gate by gate to the 2n-qubit register
 # ---------------------------------------------------------------------------
 
-def _oracle_step(scheme, n, register, regmap, noise, rng):
-    """Noise, gates, measure-reset; returns (pre-reset amplitudes, sum<Z>)."""
+def _oracle_step(scheme, n, register, regmap, noise, rng, flips=()):
+    """Noise, gates, measure-reset; returns (pre-reset amplitudes, sum<Z>).
+    Incoherent noise is X on now cell c wherever ``flips[c]`` is set."""
     if noise.kind == "incoherent":
-        for q in regmap.now:
-            if rng.random() < noise.p:
+        for q, flip in zip(regmap.now, flips, strict=True):
+            if flip:
                 apply_gate(register, Gate("X", (q,)))
     elif noise.kind == "coherent":
         for q in regmap.now:
@@ -187,12 +191,17 @@ def test_step_matches_gate_level_register(scheme, n, noise):
             regmap = regmap.swapped()
 
 
-def _oracle_flip_time(scheme, n, noise, phi, max_steps, rng):
-    """First step at which the gate-level register's sum<Z> < 0, -1 if none by max_steps."""
-    angle = rng.uniform(-math.pi / 4, math.pi / 4) if phi is None else phi
-    register, regmap = _dense_register(n, angle), LogicalRegisterMap.initial(n)
+def _oracle_flip_time(scheme, n, p, phi, seed, trial, max_steps):
+    """First step at which the gate-level register's sum<Z> < 0, -1 if none by max_steps,
+    under X flips from trial ``trial``'s hashed rows at ``seed``.  Each reset outcome
+    has probability 1, so any generator draws it."""
+    if phi is None:
+        phi = np.random.default_rng(trial).uniform(-math.pi / 4, math.pi / 4)
+    register, regmap = _dense_register(n, phi), LogicalRegisterMap.initial(n)
+    noise, reset_rng = NoiseModel("incoherent", p), np.random.default_rng(0)
     for t in range(1, max_steps + 1):
-        _, zsum = _oracle_step(scheme, n, register, regmap, noise, rng)
+        flips = bernoulli_matrix(seed, np.array([trial]), t, n, p)[0]
+        _, zsum = _oracle_step(scheme, n, register, regmap, noise, reset_rng, flips)
         regmap = regmap.swapped()
         if zsum < 0.0:
             return t
@@ -201,27 +210,28 @@ def _oracle_flip_time(scheme, n, noise, phi, max_steps, rng):
 
 @pytest.mark.parametrize("scheme", ["232", "tlv"])
 @pytest.mark.parametrize("n, p", [(4, 0.1), (4, 0.3), (6, 1 / 7)], ids=["4-0.1", "4-0.3", "6-1/7"])
-@pytest.mark.parametrize("phi", [None, math.nextafter(math.pi / 4, 0)],
-                         ids=["drawn-phi", "phi-below-pi/4"])
+@pytest.mark.parametrize("phi", [None, 0.3, math.nextafter(math.pi / 4, 0)],
+                         ids=["drawn-phi", "phi-0.3", "phi-below-pi/4"])
 def test_incoherent_flip_times_match_the_gate_level_register(scheme, n, p, phi):
-    # Incoherent runs step the classical rule on each trajectory's own stream; the
-    # dense 2n-qubit register draws the same flips and resets from that stream.
+    # Incoherent trajectory k is trial k of the flip-time Monte Carlo at the same seed,
+    # whatever its angle; the dense 2n-qubit register takes the same hashed flips.
     trials, seed, max_steps = 10, 23, 40
     times = qca_flip_times(scheme, n, p, "incoherent", trials, seed, max_steps, phi)
-    expected = [_oracle_flip_time("q" + scheme, n, NoiseModel("incoherent", p), phi,
-                                  max_steps, trajectory_rng(seed, k)) for k in range(trials)]
+    expected = [_oracle_flip_time("q" + scheme, n, p, phi, seed, k, max_steps)
+                for k in range(trials)]
     assert times.tolist() == expected
+    rule = 232 if scheme == "232" else "tlv"
+    assert times.tolist() == ca._batch_flip_times(n, rule, p, seed, np.arange(trials),
+                                                  max_steps).tolist()
     assert (times > 0).any()
 
 
 def _classical_flip_time(scheme, n, p, seed, trial, max_steps):
-    """Trajectory ``trial`` read as a CA run: per step, the stream's n flip values and
-    its reset value, then the plain-array rule and a strict-majority test."""
-    rng = trajectory_rng(seed, trial)
-    rng.uniform(-math.pi / 4, math.pi / 4)
+    """Trial ``trial`` of the flip-time Monte Carlo on plain arrays: per step, its
+    hashed flip row, then the plain-array rule and a strict-majority test."""
     cells = np.zeros(n, dtype=np.uint8)
     for t in range(1, max_steps + 1):
-        cells ^= (rng.random(n + 1)[:n] < p).astype(np.uint8)
+        cells ^= bernoulli_matrix(seed, np.array([trial]), t, n, p)[0].astype(np.uint8)
         cells = step_tlv(cells) if scheme == "tlv" else step_elementary(cells, 232)
         if 2 * int(cells.sum()) > n:
             return t
@@ -243,6 +253,13 @@ def test_incoherent_runs_at_wide_lattices(scheme, n, p):
 @pytest.mark.parametrize("n", [4, 6, 64])
 def test_noiseless_runs_end_censored(scheme, n):
     assert qca_flip_times(scheme, n, 0.5, "none", 5, seed=3, max_steps=30).tolist() == [-1] * 5
+
+
+def test_zero_trajectories_take_no_steps_and_fewer_are_refused():
+    for noise in ("none", "incoherent", "coherent", "depolarizing"):
+        assert qca_flip_times("tlv", 6, 0.1, noise, 0, seed=0, max_steps=10**12).size == 0
+        with pytest.raises(ValueError, match="trajectory count must be non-negative, got -1"):
+            qca_flip_times("tlv", 6, 0.1, noise, -1, seed=0, max_steps=5)
 
 
 def test_stepper_refuses_incoherent_steps():
