@@ -3,7 +3,7 @@ counterparts, and flip-time experiments."""
 
 from .ca import (FlipTimeStats, RuleTable, flip_time_stats, flip_time_trial,
                  island_growth_enumeration, rule_from_wolfram)
-from .circuits import Circuit, QcaStepper, build_q232_step, build_qtlv_step, decompose_toffoli
+from .circuits import Circuit, QcaStepper, build_step, decompose_toffoli
 from .experiments import (CampaignConfig, FitParams, compare_backends,
                           evaluate_fit, qca_flip_times, run_campaign)
 from .qsim import Gate, NoiseModel, StateVector
@@ -19,7 +19,7 @@ __all__ = [
     "VotingParams", "flip_prob_after", "logical_flip_prob", "mean_flip_time",
     "Gate", "NoiseModel", "StateVector",
     "Circuit", "QcaStepper",
-    "build_q232_step", "build_qtlv_step", "decompose_toffoli",
+    "build_step", "decompose_toffoli",
     "CampaignConfig", "FitParams", "evaluate_fit", "run_campaign", "compare_backends",
     "qca_flip_times",
 ]

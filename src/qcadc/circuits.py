@@ -170,20 +170,12 @@ _TOFFOLI_LAYERS = {"q232": _q232_toffoli_layers, "qtlv": _qtlv_toffoli_layers}
 
 
 def build_step(scheme: str, n: int) -> Circuit:
+    """One quantized update of ``scheme`` (q232 local majority or qtlv two-line
+    voting on strings of n/2 cells): 3n Toffolis in 6 layers + n CNOTs."""
     if scheme not in _TOFFOLI_LAYERS:
         raise ValueError(f"unknown scheme {scheme!r}")
     check_cell_count(n)
     return _assemble(scheme, n, _TOFFOLI_LAYERS[scheme](n))
-
-
-def build_q232_step(n: int) -> Circuit:
-    """One quantized local-majority update: 3n Toffolis in 6 layers + n CNOTs."""
-    return build_step("q232", n)
-
-
-def build_qtlv_step(n: int) -> Circuit:
-    """One quantized two-line-voting update on strings of n/2 cells."""
-    return build_step("qtlv", n)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,10 @@
 
 Subcommands cover classical orbits, flip-time Monte Carlo, quantum-circuit
 trajectory runs, the global-voting closed forms, the locality checks, the
-all-rules audit, the flip-time fit, and full campaigns.  Flags can also be
-supplied through a JSON config file (--config); explicit flags win.
-Probabilities accept decimals or exact fractions like 11/72.
+all-rules audit, the flip-time fit, and full campaigns.  Each flag carries
+its default; a JSON config file (--config) replaces those defaults and
+explicit flags still win.  Probabilities accept decimals or exact fractions
+like 11/72.
 
 Exit codes: 0 success, 1 invalid arguments, 2 runtime failure.
 """
@@ -58,26 +59,21 @@ def _config_value(key: str, value, action: argparse.Action):
     return checked
 
 
-def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
-    """defaults < JSON config file < explicit flags; a null config value keeps the default."""
-    merged = dict(defaults)
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            loaded = json.load(fh)
-        if not isinstance(loaded, dict):
-            raise CliError(f"config file must hold a JSON object of flag values, "
-                           f"got {type(loaded).__name__}")
-        unknown = set(loaded) - set(defaults)
-        if unknown:
-            raise CliError(f"unknown config keys: {sorted(unknown)}")
-        flags = {action.dest: action for action in args.command_parser._actions}
-        merged.update({key: _config_value(key, value, flags[key]) if key in flags else value
-                       for key, value in loaded.items() if value is not None})
-    for key in defaults:
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = value
-    return merged
+def _load_config(parser: argparse.ArgumentParser, path: str) -> None:
+    """Make the JSON object in ``path`` the defaults of ``parser``; a null keeps the default."""
+    with open(path) as fh:
+        loaded = json.load(fh)
+    if not isinstance(loaded, dict):
+        raise CliError(f"config file must hold a JSON object of flag values, "
+                       f"got {type(loaded).__name__}")
+    flags = {action.dest: action for action in parser._actions}
+    # Parser internals are not config keys: set_defaults(func=...) would replace the command.
+    known = (set(flags) | set(parser._defaults)) - {"help", "config", "func", "command_parser"}
+    unknown = set(loaded) - known
+    if unknown:
+        raise CliError(f"unknown config keys: {sorted(unknown)}")
+    parser.set_defaults(**{key: _config_value(key, value, flags[key]) if key in flags else value
+                           for key, value in loaded.items() if value is not None})
 
 
 def _rule_kind(text: str) -> ca.RuleKind:
@@ -97,12 +93,10 @@ def _rule_kind(text: str) -> ca.RuleKind:
 # ---------------------------------------------------------------------------
 
 def _cmd_ca_orbit(args) -> int:
-    opts = _merge_config(args, dict(rule="232", n=12, p="0.1", steps=40, seed=0,
-                                    trial=0, output=None))
-    rule = _rule_kind(opts["rule"])
-    p = parse_probability(opts["p"])
-    orbit = ca.noisy_orbit(rule, opts["n"], p, opts["steps"], opts["seed"], opts["trial"])
-    _write_output("\n".join(ca.orbit_lines(rule, orbit)) + "\n", opts["output"])
+    rule = _rule_kind(args.rule)
+    p = parse_probability(args.p)
+    orbit = ca.noisy_orbit(rule, args.n, p, args.steps, args.seed, args.trial)
+    _write_output("\n".join(ca.orbit_lines(rule, orbit)) + "\n", args.output)
     return 0
 
 
@@ -114,63 +108,52 @@ def _stats_text(rows: list[experiments.CampaignRow], fmt: str,
 
 
 def _cmd_flip_time(args) -> int:
-    opts = _merge_config(args, dict(rule="tlv", n=12, p="11/72", trials=10000, seed=0,
-                                    max_steps=1_000_000, output=None, format="csv"))
-    rule = _rule_kind(opts["rule"])
-    p = parse_probability(opts["p"])
-    n = opts["n"]
-    stats = ca.flip_time_stats(n, rule, p, opts["trials"], opts["seed"], opts["max_steps"])
+    rule = _rule_kind(args.rule)
+    p = parse_probability(args.p)
+    stats = ca.flip_time_stats(args.n, rule, p, args.trials, args.seed, args.max_steps)
     scheme = "tlv" if rule == "tlv" else str(rule)
-    row = experiments.CampaignRow.from_stats(scheme, "ca", "bitflip", n, p, stats)
-    _write_output(_stats_text([row], opts["format"]), opts["output"])
+    row = experiments.CampaignRow.from_stats(scheme, "ca", "bitflip", args.n, p, stats)
+    _write_output(_stats_text([row], args.format), args.output)
     return 0
 
 
 def _cmd_qca_run(args) -> int:
-    opts = _merge_config(args, dict(scheme="qtlv", n=8, p="1/12", noise="incoherent",
-                                    trials=100, seed=0, max_steps=10_000, phi=None,
-                                    output=None, format="csv", dump_circuit=None,
-                                    decompose=False))
-    scheme, n, trials = opts["scheme"], opts["n"], opts["trials"]
-    if opts["dump_circuit"] is not None:
-        circuit = build_step(scheme, n)
-        if opts["decompose"]:
+    if args.dump_circuit is not None:
+        circuit = build_step(args.scheme, args.n)
+        if args.decompose:
             circuit = decompose_toffoli(circuit)
-        _write_output(circuit_to_text(circuit), opts["dump_circuit"])
-        if trials == 0:
+        _write_output(circuit_to_text(circuit), args.dump_circuit)
+        if args.trials == 0:
             return 0
-    if trials < 1:
+    if args.trials < 1:
         raise CliError("need at least one trial")
-    noise_kind = opts["noise"]
-    p = parse_probability(opts["p"])
-    row_scheme = "232" if scheme == "q232" else "tlv"
-    times = experiments.qca_flip_times(row_scheme, n, p, noise_kind, trials,
-                                       opts["seed"], opts["max_steps"], opts["phi"])
+    p = parse_probability(args.p)
+    row_scheme = "232" if args.scheme == "q232" else "tlv"
+    times = experiments.qca_flip_times(row_scheme, args.n, p, args.noise, args.trials,
+                                       args.seed, args.max_steps, args.phi)
     stats = ca.summarize_flip_times(times)
-    row = experiments.CampaignRow.from_stats(row_scheme, "qca", noise_kind, n, p, stats)
-    _write_output(_stats_text([row], opts["format"]), opts["output"])
+    row = experiments.CampaignRow.from_stats(row_scheme, "qca", args.noise, args.n, p, stats)
+    _write_output(_stats_text([row], args.format), args.output)
     return 0
 
 
 def _cmd_global_voting(args) -> int:
-    opts = _merge_config(args, dict(n=10, p="0.1", delta=0, output=None, format="csv"))
-    p_fraction = parse_fraction(opts["p"])
-    params = voting.VotingParams(opts["n"], p_fraction, opts["delta"])
+    p_fraction = parse_fraction(args.p)
+    params = voting.VotingParams(args.n, p_fraction, args.delta)
     result = voting.mean_flip_time(params)
     values = dict(p=float(p_fraction), n=params.n, delta=params.delta,
                   P=float(result.probability), T_F_periods=float(result.periods),
                   T_F_steps=float(result.steps))
-    if opts["format"] == "json":
+    if args.format == "json":
         text = json.dumps(values, indent=2) + "\n"
     else:
         text = ",".join(values) + "\n" + ",".join(f"{v:.10g}" for v in values.values()) + "\n"
-    _write_output(text, opts["output"])
+    _write_output(text, args.output)
     return 0
 
 
 def _cmd_heisenberg_check(args) -> int:
-    opts = _merge_config(args, dict(scheme="both", output=None))
-    schemes = ("q232", "qtlv") if opts["scheme"] == "both" else (opts["scheme"],)
+    schemes = ("q232", "qtlv") if args.scheme == "both" else (args.scheme,)
     lines = []
     all_passed = True
     for scheme in schemes:
@@ -178,27 +161,25 @@ def _cmd_heisenberg_check(args) -> int:
             status = "PASS" if result.passed else "FAIL"
             all_passed = all_passed and result.passed
             lines.append(f"{scheme}: {status} {result.name} ({result.detail})")
-    _write_output("\n".join(lines) + "\n", opts["output"])
+    _write_output("\n".join(lines) + "\n", args.output)
     return 0 if all_passed else 2
 
 
 def _cmd_rules_audit(args) -> int:
-    opts = _merge_config(args, dict(output=None))
     lines = ["code,self_dual,permutation_ok"]
     for code, self_dual, perm_ok in reversible.audit_all_rules():
         lines.append(f"{code},{str(self_dual).lower()},{str(perm_ok).lower()}")
-    _write_output("\n".join(lines) + "\n", opts["output"])
+    _write_output("\n".join(lines) + "\n", args.output)
     return 0
 
 
 def _cmd_fit_eval(args) -> int:
-    opts = _merge_config(args, dict(p="1/10", n=12, constants=None, output=None))
-    p = parse_probability(opts["p"])
+    p = parse_probability(args.p)
     params = experiments.DEFAULT_FIT
-    if opts["constants"]:
-        params = experiments.FitParams(**{**params.__dict__, **_fit_constants(opts["constants"])})
-    value = experiments.evaluate_fit(p, opts["n"], params)
-    _write_output(f"{value:.10g}\n", opts["output"])
+    if args.constants:
+        params = experiments.FitParams(**{**params.__dict__, **_fit_constants(args.constants)})
+    value = experiments.evaluate_fit(p, args.n, params)
+    _write_output(f"{value:.10g}\n", args.output)
     return 0
 
 
@@ -216,10 +197,7 @@ def _fit_constants(constants) -> dict[str, float]:
 
 
 def _cmd_campaign(args) -> int:
-    opts = _merge_config(args, dict(backend="ca", scheme="tlv", grid=None,
-                                    noise=None, trials=1000, seed=0,
-                                    max_steps=1_000_000, output=None, workers=1))
-    points = opts["grid"]
+    points = args.grid
     if not points:
         raise CliError("a campaign needs a grid of [n, p] points (config key 'grid')")
     if not isinstance(points, list) or not all(
@@ -227,11 +205,10 @@ def _cmd_campaign(args) -> int:
             for point in points):
         raise CliError(f"config key 'grid' must be a list of [n, p] points, got {points!r}")
     grid = tuple((n, parse_probability(str(p))) for n, p in points)
-    noise = opts["noise"] or ("bitflip" if opts["backend"] == "ca" else "incoherent")
-    config = experiments.CampaignConfig(opts["backend"], opts["scheme"], grid, noise,
-                                        opts["trials"], opts["seed"], opts["max_steps"],
-                                        opts["output"])
-    rows = experiments.run_campaign(config, opts["workers"])
+    noise = args.noise or ("bitflip" if args.backend == "ca" else "incoherent")
+    config = experiments.CampaignConfig(args.backend, args.scheme, grid, noise, args.trials,
+                                        args.seed, args.max_steps, args.output)
+    rows = experiments.run_campaign(config, args.workers)
     for row in rows:
         if row.error is not None:
             print(f"error at grid point n = {row.n}, p = {row.p}: {row.error}", file=sys.stderr)
@@ -260,7 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, func, help_text):
-        p = sub.add_parser(name, help=help_text, description=help_text)
+        p = sub.add_parser(name, help=help_text, description=help_text,
+                           formatter_class=argparse.ArgumentDefaultsHelpFormatter)
         p.set_defaults(func=func, command_parser=p)
         p.add_argument("--config", help="JSON file with default values for the flags")
         p.add_argument("--output", help="write the primary output to this file")
@@ -269,53 +247,57 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("ca-orbit", _cmd_ca_orbit,
             "Dump a noisy classical orbit, one 0/1 line per step "
             "(two-line voting rows as upper|lower).")
-    p.add_argument("--rule", "--scheme", help="Wolfram code 0..255 or 'tlv'")
-    p.add_argument("--n", type=int, help="total cell count")
-    p.add_argument("--p", help="per-cell per-step flip probability")
-    p.add_argument("--steps", type=int, help="number of noise+rule steps")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--trial", type=int, help="trial index within the noise stream")
+    p.add_argument("--rule", "--scheme", default="232", help="Wolfram code 0..255 or 'tlv'")
+    p.add_argument("--n", type=int, default=12, help="total cell count")
+    p.add_argument("--p", default="0.1", help="per-cell per-step flip probability")
+    p.add_argument("--steps", type=int, default=40, help="number of noise+rule steps")
+    p.add_argument("--seed", type=int, default=0, help="master seed of the noise stream")
+    p.add_argument("--trial", type=int, default=0, help="trial index within the noise stream")
 
     p = add("flip-time", _cmd_flip_time,
             "Monte Carlo mean flip time of a classical rule: steps until a "
             "strict majority of cells reads 1, starting from all-0.")
-    p.add_argument("--rule", "--scheme", help="Wolfram code 0..255 or 'tlv'")
-    p.add_argument("--n", type=int)
-    p.add_argument("--p", help="flip probability (decimal or fraction like 11/72)")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--max-steps", dest="max_steps", type=int)
-    p.add_argument("--format", choices=("csv", "json"))
+    p.add_argument("--rule", "--scheme", default="tlv", help="Wolfram code 0..255 or 'tlv'")
+    p.add_argument("--n", type=int, default=12, help="total cell count")
+    p.add_argument("--p", default="11/72", help="per-cell per-step flip probability")
+    p.add_argument("--trials", type=int, default=10000, help="Monte Carlo trials")
+    p.add_argument("--seed", type=int, default=0, help="master seed of the noise stream")
+    p.add_argument("--max-steps", type=int, default=1_000_000,
+                   help="censor a trial still unflipped after this many steps")
+    p.add_argument("--format", choices=("csv", "json"), default="csv", help="row format")
 
     p = add("qca-run", _cmd_qca_run,
             "Trajectory flip times of the quantized rules on 2n qubits under "
             "incoherent/coherent bit-flip or per-gate depolarizing noise.")
-    p.add_argument("--scheme", choices=("q232", "qtlv"))
-    p.add_argument("--n", type=int, help="cells per time slice (even)")
-    p.add_argument("--p", help="noise strength")
-    p.add_argument("--noise", choices=("incoherent", "coherent", "depolarizing", "none"))
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--max-steps", dest="max_steps", type=int)
-    p.add_argument("--phi", type=float, help="fixed logical angle (default: sampled)")
-    p.add_argument("--format", choices=("csv", "json"))
-    p.add_argument("--dump-circuit", dest="dump_circuit",
-                   help="write the step circuit as a plain-text gate list")
-    p.add_argument("--decompose", action="store_true", default=None,
+    p.add_argument("--scheme", choices=("q232", "qtlv"), default="qtlv", help="quantized rule")
+    p.add_argument("--n", type=int, default=8, help="cells per time slice (even)")
+    p.add_argument("--p", default="1/12", help="noise strength")
+    p.add_argument("--noise", choices=("incoherent", "coherent", "depolarizing", "none"),
+                   default="incoherent", help="noise model")
+    p.add_argument("--trials", type=int, default=100, help="trajectories")
+    p.add_argument("--seed", type=int, default=0, help="master seed of the trajectories")
+    p.add_argument("--max-steps", type=int, default=10_000,
+                   help="censor a trajectory still unflipped after this many steps")
+    p.add_argument("--phi", type=float,
+                   help="fixed logical angle; unset samples one per trajectory")
+    p.add_argument("--format", choices=("csv", "json"), default="csv", help="row format")
+    p.add_argument("--dump-circuit", help="write the step circuit as a plain-text gate list")
+    p.add_argument("--decompose", action="store_true",
                    help="dump with Toffolis decomposed into 1- and 2-qubit gates")
 
     p = add("global-voting", _cmd_global_voting,
             "Closed-form repetition-code baseline: per-cell flip probability, "
             "logical flip probability and mean flip time at readout delay delta.")
-    p.add_argument("--n", type=int)
-    p.add_argument("--p")
-    p.add_argument("--delta", type=int, help="readout delay in CA steps")
-    p.add_argument("--format", choices=("csv", "json"))
+    p.add_argument("--n", type=int, default=10, help="total cell count")
+    p.add_argument("--p", default="0.1", help="per-cell per-step flip probability")
+    p.add_argument("--delta", type=int, default=0, help="readout delay in CA steps")
+    p.add_argument("--format", choices=("csv", "json"), default="csv", help="row format")
 
     p = add("heisenberg-check", _cmd_heisenberg_check,
             "Verify locality and invariance of the quantized rules by "
             "conjugating Paulis through finite-window unitaries.")
-    p.add_argument("--scheme", choices=("q232", "qtlv", "both"))
+    p.add_argument("--scheme", choices=("q232", "qtlv", "both"), default="both",
+                   help="quantized rule to check")
 
     add("rules-audit", _cmd_rules_audit,
         "CSV audit of all 256 elementary rules: self-duality and "
@@ -323,18 +305,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("fit-eval", _cmd_fit_eval,
             "Evaluate the closed-form two-line-voting flip-time fit at (p, n).")
-    p.add_argument("--p")
-    p.add_argument("--n", type=int)
+    p.set_defaults(constants=None)  # config key only: {name: number} for some FitParams fields
+    p.add_argument("--p", default="1/10", help="per-cell per-step flip probability")
+    p.add_argument("--n", type=int, default=12, help="total cell count")
 
     p = add("campaign", _cmd_campaign,
             "Run a flip-time sweep over an (n, p) grid and emit CSV/JSON rows.")
-    p.add_argument("--backend", choices=("ca", "qca"))
-    p.add_argument("--scheme", choices=("232", "tlv"))
-    p.add_argument("--noise")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--max-steps", dest="max_steps", type=int)
-    p.add_argument("--workers", type=int, help="grid-point worker processes (default: 1)")
+    p.set_defaults(grid=None)  # config key only: a list of [n, p] points
+    p.add_argument("--backend", choices=("ca", "qca"), default="ca", help="simulator")
+    p.add_argument("--scheme", choices=("232", "tlv"), default="tlv", help="rule")
+    p.add_argument("--noise", help="noise model; unset means bitflip on ca, incoherent on qca")
+    p.add_argument("--trials", type=int, default=1000, help="trials per grid point")
+    p.add_argument("--seed", type=int, default=0, help="master seed of the campaign")
+    p.add_argument("--max-steps", type=int, default=1_000_000,
+                   help="censor a trial still unflipped after this many steps")
+    p.add_argument("--workers", type=int, default=1, help="grid-point worker processes")
     return parser
 
 
@@ -345,6 +330,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
+        if args.config is not None:
+            _load_config(args.command_parser, args.config)
+            args = parser.parse_args(argv)  # explicit flags win over the config's defaults
         return args.func(args)
     except (CliError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,7 +6,7 @@ import pytest
 
 from qcadc import ca
 from qcadc.circuits import (Circuit, NoiseModel, QcaStepper,
-                            build_q232_step, build_qtlv_step, build_step,
+                            build_step,
                             basis_action, circuit_to_text,
                             decompose_toffoli, noiseless_preservation,
                             trajectory_rng, _toffoli_network)
@@ -35,9 +35,9 @@ def circuit_unitary(circuit, num_qubits):
 
 
 def test_gate_counts_and_depth():
-    c = build_q232_step(8)
+    c = build_step("q232", 8)
     assert c.count("TOFFOLI") == 24 and c.count("CNOT") == 8 and c.depth == 7
-    c = build_qtlv_step(12)
+    c = build_step("qtlv", 12)
     assert c.count("TOFFOLI") == 36 and c.count("CNOT") == 12 and c.depth == 7
 
 
@@ -50,11 +50,11 @@ def test_depth_seven_both_packing_regimes(scheme, n):
 
 
 def test_odd_or_tiny_n_rejected():
-    for builder in (build_q232_step, build_qtlv_step):
+    for scheme in ("q232", "qtlv"):
         with pytest.raises(ValueError):
-            builder(7)
+            build_step(scheme, 7)
         with pytest.raises(ValueError):
-            builder(2)
+            build_step(scheme, 2)
 
 
 def test_layer_validation_catches_overlap():
@@ -78,7 +78,7 @@ def test_circuit_matches_classical_rule_exhaustively(scheme, n):
 
 
 def test_all_zero_input_is_fixed():
-    circuit = build_q232_step(6)
+    circuit = build_step("q232", 6)
     assert not basis_action(np.zeros(1, dtype=np.int64), gate_qubits(circuit)).any()
 
 
@@ -137,7 +137,7 @@ def test_decomposed_circuit_on_basis_state():
 
 def test_decomposed_q232_step_matches_undecomposed():
     n = 4
-    plain = build_q232_step(n)
+    plain = build_step("q232", n)
     decomposed = decompose_toffoli(plain)
     decomposed.validate_layers()
     assert decomposed.count("TOFFOLI") == 0
@@ -150,7 +150,7 @@ def test_decomposed_q232_step_matches_undecomposed():
 
 
 def test_circuit_export_format():
-    text = circuit_to_text(build_q232_step(4))
+    text = circuit_to_text(build_step("q232", 4))
     lines = text.strip().split("\n")
     assert len(lines) == 16
     assert all(line.startswith("LAYER ") and " | GATE " in line for line in lines)
@@ -164,7 +164,7 @@ def test_statevector_decoupling_exhaustive_small():
         amps = np.zeros(1 << (2 * n), dtype=complex)
         amps[s] = 1.0
         state = StateVector(2 * n, amps)
-        for gate in build_q232_step(n).gates():  # canonical qubits: the initial register map
+        for gate in build_step("q232", n).gates():  # canonical qubits: the initial register map
             apply_gate(state, gate)
         nonzero = np.nonzero(np.abs(state.amps) > 1e-12)[0]
         assert nonzero.size == 1  # still a basis state: registers factorized

@@ -1,5 +1,9 @@
 """Command-line interface: subcommands, exit codes, determinism, config merge."""
+import itertools
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -382,6 +386,79 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     config.write_text(json.dumps({"bogus": 1}))
     code, _, err = run_cli(capsys, "flip-time", "--config", str(config))
     assert code == 1 and "unknown config keys" in err
+
+
+# One case per subcommand: config-only keys every run shares, a set of flag
+# values, one flag given explicitly over the config, and a key set to null.
+CONFIG_CASES = [
+    ("ca-orbit", {}, {"rule": "tlv", "n": 8, "p": "0.3", "steps": 4, "seed": 2, "trial": 1},
+     ("seed", 3), "steps"),
+    ("flip-time", {}, {"rule": "232", "n": 8, "p": "0.3", "trials": 30, "seed": 4,
+                       "max_steps": 500, "format": "json"}, ("trials", 60), "seed"),
+    ("qca-run", {}, {"scheme": "q232", "n": 4, "p": "0.3", "noise": "coherent", "trials": 6,
+                     "seed": 5, "max_steps": 200, "phi": 0.3, "format": "csv",
+                     "dump_circuit": "step.txt", "decompose": True}, ("seed", 6), "seed"),
+    ("global-voting", {}, {"n": 10, "p": "0.1", "delta": 1, "format": "json"},
+     ("delta", 2), "delta"),
+    ("heisenberg-check", {}, {"scheme": "q232"}, ("scheme", "qtlv"), "scheme"),
+    ("rules-audit", {}, {"output": "audit.csv"}, ("output", "other.csv"), "output"),
+    ("fit-eval", {"constants": {"a1": 2.0}}, {"p": "11/72", "n": 20}, ("p", "1/10"), "n"),
+    ("campaign", {"grid": [[8, "1/5"]]}, {"backend": "ca", "scheme": "232", "noise": "bitflip",
+                                          "trials": 40, "seed": 9, "max_steps": 5000,
+                                          "workers": 1}, ("trials", 60), "seed"),
+]
+
+
+def as_flags(values):
+    flags = []
+    for key, value in values.items():
+        flag = "--" + key.replace("_", "-")
+        flags += [flag] if value is True else [flag, str(value)]
+    return flags
+
+
+@pytest.mark.parametrize("command, shared, values, override, null_key", CONFIG_CASES,
+                         ids=[case[0] for case in CONFIG_CASES])
+def test_config_values_act_as_flag_defaults(tmp_path, monkeypatch, capsys, command, shared,
+                                            values, override, null_key):
+    runs = itertools.count()
+
+    def run(config, *flags):
+        """Stdout and every file written, from a fresh working directory."""
+        path = tmp_path / f"cfg{next(runs)}.json"
+        path.write_text(json.dumps(config))
+        workdir = path.with_suffix("")
+        workdir.mkdir()
+        monkeypatch.chdir(workdir)
+        code, out, err = run_cli(capsys, command, "--config", str(path), *flags)
+        assert code == 0, err
+        return out, {f.name: f.read_bytes() for f in sorted(workdir.iterdir())}
+
+    from_flags = run(shared, *as_flags(values))
+    assert run({**shared, **values}) == from_flags
+    key, value = override
+    overridden = run(shared, *as_flags({**values, key: value}))
+    assert run({**shared, **values}, *as_flags({key: value})) == overridden != from_flags
+    defaulted = run(shared, *as_flags({k: v for k, v in values.items() if k != null_key}))
+    assert run({**shared, **values, null_key: None}) == defaulted != from_flags
+
+
+@pytest.mark.parametrize("key", ["func", "command_parser", "config", "help"])
+def test_config_refuses_parser_internals(tmp_path, capsys, key):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({key: "rules-audit"}))
+    code, out, err = run_cli(capsys, "fit-eval", "--config", str(config))
+    assert code == 1 and out == ""
+    assert f"unknown config keys: [{key!r}]" in err
+
+
+def test_help_lists_the_defaults():
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run([sys.executable, "-m", "qcadc", "flip-time", "--help"],
+                            capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": str(src)})
+    assert result.returncode == 0
+    assert "default: 11/72" in " ".join(result.stdout.split())
 
 
 def test_campaign_writes_deterministic_files(tmp_path, capsys):
