@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -49,11 +50,11 @@ def _config_value(key: str, value, action: argparse.Action):
     try:
         if isinstance(value, bool) != (action.nargs == 0) or not isinstance(value, (str, int, float)):
             raise ValueError  # a store_true flag takes a bool, any other flag a string or number
-        checked = value if action.type is None else action.type(str(value))
+        checked = value if action.nargs == 0 else (action.type or str)(str(value))
         if action.choices is not None and checked not in action.choices:
             raise ValueError
     except ValueError:
-        wanted = ("true or false" if action.nargs == 0 else " or ".join(action.choices)
+        wanted = ("true or false" if action.nargs == 0 else " or ".join(map(str, action.choices))
                   if action.choices else (action.type or str).__name__)
         raise CliError(f"config key {key!r} takes {wanted}, got {value!r}") from None
     return checked
@@ -110,9 +111,8 @@ def _stats_text(rows: list[experiments.CampaignRow], fmt: str,
 def _cmd_flip_time(args) -> int:
     rule = _rule_kind(args.rule)
     p = parse_probability(args.p)
-    stats = ca.flip_time_stats(args.n, rule, p, args.trials, args.seed, args.max_steps)
-    scheme = "tlv" if rule == "tlv" else str(rule)
-    row = experiments.CampaignRow.from_stats(scheme, "ca", "bitflip", args.n, p, stats)
+    row = experiments.point_row("ca", str(rule), "bitflip", args.n, p, args.trials, args.seed,
+                                args.max_steps)
     _write_output(_stats_text([row], args.format), args.output)
     return 0
 
@@ -128,11 +128,8 @@ def _cmd_qca_run(args) -> int:
     if args.trials < 1:
         raise CliError("need at least one trial")
     p = parse_probability(args.p)
-    row_scheme = "232" if args.scheme == "q232" else "tlv"
-    times = experiments.qca_flip_times(row_scheme, args.n, p, args.noise, args.trials,
-                                       args.seed, args.max_steps, args.phi)
-    stats = ca.summarize_flip_times(times)
-    row = experiments.CampaignRow.from_stats(row_scheme, "qca", args.noise, args.n, p, stats)
+    row = experiments.point_row("qca", "232" if args.scheme == "q232" else "tlv", args.noise,
+                                args.n, p, args.trials, args.seed, args.max_steps, args.phi)
     _write_output(_stats_text([row], args.format), args.output)
     return 0
 
@@ -142,14 +139,22 @@ def _cmd_global_voting(args) -> int:
     params = voting.VotingParams(args.n, p_fraction, args.delta)
     result = voting.mean_flip_time(params)
     values = dict(p=float(p_fraction), n=params.n, delta=params.delta,
-                  P=float(result.probability), T_F_periods=float(result.periods),
-                  T_F_steps=float(result.steps))
+                  P=float(result.probability), T_F_periods=_float_or_inf(result.periods),
+                  T_F_steps=_float_or_inf(result.steps))
     if args.format == "json":
         text = json.dumps(values, indent=2) + "\n"
     else:
         text = ",".join(values) + "\n" + ",".join(f"{v:.10g}" for v in values.values()) + "\n"
     _write_output(text, args.output)
     return 0
+
+
+def _float_or_inf(value) -> float:
+    """An exact flip time as a float; inf where it exceeds the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
 
 
 def _cmd_heisenberg_check(args) -> int:
@@ -208,7 +213,7 @@ def _cmd_campaign(args) -> int:
     noise = args.noise or ("bitflip" if args.backend == "ca" else "incoherent")
     config = experiments.CampaignConfig(args.backend, args.scheme, grid, noise, args.trials,
                                         args.seed, args.max_steps, args.output)
-    rows = experiments.run_campaign(config, args.workers)
+    rows = experiments.run_campaign(config)
     for row in rows:
         if row.error is not None:
             print(f"error at grid point n = {row.n}, p = {row.p}: {row.error}", file=sys.stderr)
@@ -319,7 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="master seed of the campaign")
     p.add_argument("--max-steps", type=int, default=1_000_000,
                    help="censor a trial still unflipped after this many steps")
-    p.add_argument("--workers", type=int, default=1, help="grid-point worker processes")
+    p.add_argument("--workers", type=int, choices=(1,), default=1,
+                   help="grid points run in order in one process; only 1 is accepted")
     return parser
 
 

@@ -3,8 +3,8 @@ classical and quantum backends, the closed-form flip-time fit, and
 statistical backend comparisons.
 
 A campaign is deterministic in its master seed: every grid point derives
-its own stream seed from (master seed, grid index), so results do not
-depend on worker count or evaluation order.
+its own stream seed from (master seed, grid index), and ``point_row``
+computes one point's row, for campaigns and single-point commands alike.
 
 ``qca_flip_times`` picks the engine for QCA trajectories: incoherent and
 noiseless trajectory k is trial k of the classical flip-time Monte Carlo
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -119,13 +118,6 @@ class CampaignRow:
     histogram: dict[int, int] = field(default_factory=dict, repr=False)
     error: str | None = None
 
-    @classmethod
-    def from_stats(cls, scheme: str, backend: str, noise: str, n: int, p: float,
-                   stats: ca.FlipTimeStats) -> "CampaignRow":
-        """The row of one grid point (no readout delay) from its flip-time statistics."""
-        return cls(scheme, backend, noise, n, p, 0, stats.trials, stats.max_steps_hit,
-                   stats.mean, stats.stddev, stats.stderr, histogram=stats.histogram)
-
 
 def point_seed(master_seed: int, index: int) -> int:
     """Stream seed for one grid point, independent of evaluation order."""
@@ -167,33 +159,34 @@ def qca_flip_times(scheme: str, n: int, p: float, noise_kind: str, trials: int,
     return times
 
 
-def _evaluate_point(config: CampaignConfig, index: int) -> CampaignRow:
-    n, p = config.grid[index]
-    seed = point_seed(config.seed, index)
-    try:
-        if config.backend == "ca":
-            rule: ca.RuleKind = "tlv" if config.scheme == "tlv" else 232
-            stats = ca.flip_time_stats(n, rule, p, config.trials, seed, config.max_steps)
-        else:
-            times = qca_flip_times(config.scheme, n, p, config.noise, config.trials,
-                                   seed, config.max_steps)
-            stats = ca.summarize_flip_times(times)
-    except Exception as exc:  # recorded in-row; the campaign continues
-        return CampaignRow(config.scheme, config.backend, config.noise, n, p, 0,
-                           config.trials, None, None, None, None,
-                           error=f"{type(exc).__name__}: {exc}")
-    return CampaignRow.from_stats(config.scheme, config.backend, config.noise, n, p, stats)
+def point_row(backend: str, scheme: str, noise: str, n: int, p: float, trials: int,
+              seed: int, max_steps: int, phi: float | None = None) -> CampaignRow:
+    """The result row of one (n, p) point; ``scheme`` is "tlv" or a Wolfram code on
+    "ca", and "232" or "tlv" on "qca" with ``noise`` and ``phi`` as in qca_flip_times."""
+    if backend == "ca":
+        rule: ca.RuleKind = "tlv" if scheme == "tlv" else int(scheme)
+        stats = ca.flip_time_stats(n, rule, p, trials, seed, max_steps)
+    else:
+        stats = ca.summarize_flip_times(
+            qca_flip_times(scheme, n, p, noise, trials, seed, max_steps, phi))
+    return CampaignRow(scheme, backend, noise, n, p, 0, stats.trials, stats.max_steps_hit,
+                       stats.mean, stats.stddev, stats.stderr, histogram=stats.histogram)
 
 
-def run_campaign(config: CampaignConfig, workers: int = 1) -> list[CampaignRow]:
-    """One row per grid point, ordered by grid index; deterministic in the seed."""
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
-    indices = range(len(config.grid))
-    if workers == 1 or len(config.grid) <= 1:
-        return [_evaluate_point(config, i) for i in indices]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_evaluate_point, [config] * len(config.grid), indices))
+def run_campaign(config: CampaignConfig) -> list[CampaignRow]:
+    """One row per grid point, in grid order, deterministic in the seed; a point
+    whose evaluation raises gets a row carrying the error, and the campaign goes on."""
+    rows = []
+    for index, (n, p) in enumerate(config.grid):
+        try:
+            row = point_row(config.backend, config.scheme, config.noise, n, p, config.trials,
+                            point_seed(config.seed, index), config.max_steps)
+        except Exception as exc:
+            row = CampaignRow(config.scheme, config.backend, config.noise, n, p, 0,
+                              config.trials, None, None, None, None,
+                              error=f"{type(exc).__name__}: {exc}")
+        rows.append(row)
+    return rows
 
 
 # ---------------------------------------------------------------------------

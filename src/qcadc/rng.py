@@ -1,9 +1,9 @@
 """Counter-based randomness for classical noise sampling.
 
 Every draw is a pure function of (seed, trial, step, cell), so orbits are
-reproducible bit-for-bit no matter how trials are batched or distributed
-across workers.  The generator is two rounds of the splitmix64 finalizer
-chained over the key words, evaluated with vectorized uint64 arithmetic.
+reproducible bit-for-bit no matter how trials are batched.  The generator
+is two rounds of the splitmix64 finalizer chained over the key words,
+evaluated with vectorized uint64 arithmetic.
 """
 from __future__ import annotations
 
@@ -44,7 +44,7 @@ def check_seed(seed: int, trial_index: int = 0) -> None:
 
 
 def derive_seed(seed: int, stream: int) -> int:
-    """Independent stream seed for a sub-experiment (grid point, shard, ...)."""
+    """Independent stream seed for a sub-experiment (a campaign's grid point)."""
     return mix64((seed & _MASK) + (stream + 1) * 0x9E3779B97F4A7C15)
 
 

@@ -77,6 +77,13 @@ def test_global_voting_matches_closed_form(capsys):
     assert float(values["T_F_steps"]) == pytest.approx(float(result.steps), rel=1e-9)
 
 
+def test_global_voting_prints_inf_past_the_float_range(capsys):
+    code, out, err = run_cli(capsys, "global-voting", "--n", "1400", "--p", "0.1")
+    assert code == 0, err
+    values = dict(zip(*(line.split(",") for line in out.splitlines())))
+    assert values["T_F_periods"] == values["T_F_steps"] == "inf"
+
+
 @pytest.mark.parametrize("p", ["1/0", "nope"])
 def test_global_voting_refuses_an_unparseable_probability(capsys, p):
     code, out, err = run_cli(capsys, "global-voting", "--n", "10", "--p", p)
@@ -232,15 +239,20 @@ def test_campaign_refuses_lattices_below_the_backend_minimum(tmp_path, capsys, b
     assert not (tmp_path / "out.csv").exists()
 
 
-@pytest.mark.parametrize("workers", ["0", "-3"])
-def test_campaign_refuses_fewer_than_one_worker(tmp_path, capsys, workers):
+@pytest.mark.parametrize("workers", ["0", "-3", "2"])
+def test_campaign_accepts_only_one_worker(tmp_path, capsys, workers):
     cfg = tmp_path / "campaign.json"
-    cfg.write_text(json.dumps({"backend": "ca", "scheme": "232", "grid": [[4, 0.1]],
-                               "trials": 2}))
+    campaign = {"backend": "ca", "scheme": "232", "grid": [[4, 0.1]], "trials": 2}
+    cfg.write_text(json.dumps(campaign))
     code, out, err = run_cli(capsys, "campaign", "--config", str(cfg), "--workers", workers,
                              "--output", str(tmp_path / "out"))
     assert code == 1 and out == ""
-    assert f"workers must be at least 1, got {workers}" in err
+    assert f"argument --workers: invalid choice: {workers}" in err
+    cfg.write_text(json.dumps({**campaign, "workers": int(workers)}))
+    code, out, err = run_cli(capsys, "campaign", "--config", str(cfg),
+                             "--output", str(tmp_path / "out"))
+    assert code == 1 and out == ""
+    assert f"config key 'workers' takes 1, got {workers}" in err
     assert not (tmp_path / "out.csv").exists()
 
 
@@ -379,6 +391,18 @@ def test_malformed_config_values_exit_1(tmp_path, capsys, command, loaded, messa
     code, out, err = run_cli(capsys, command, "--config", str(config))
     assert code == 1 and out == ""
     assert message in err
+
+
+@pytest.mark.parametrize("command, shared, written", [("flip-time", {}, "1"),
+                                                     ("campaign", {"grid": [[4, "0.1"]]}, "1.csv")])
+def test_config_numbers_for_string_flags_read_as_tokens(tmp_path, monkeypatch, capsys,
+                                                        command, shared, written):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({**shared, "output": 1, "trials": 5}))
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, command, "--config", str(config))
+    assert code == 0, err
+    assert out == "" and (tmp_path / written).read_text().startswith("scheme,backend")
 
 
 def test_config_rejects_unknown_keys(tmp_path, capsys):

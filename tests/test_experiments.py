@@ -60,13 +60,10 @@ def test_point_seed_is_order_free_and_distinct():
     assert point_seed(99, 3) == seeds[3]
 
 
-def test_campaign_deterministic_and_worker_independent():
+def test_campaign_is_deterministic():
     config = CampaignConfig("ca", "tlv", ((8, 0.2), (10, 0.15)), trials=500, seed=12,
                             max_steps=100_000)
-    rows_a = run_campaign(config, workers=1)
-    rows_b = run_campaign(config, workers=1)
-    rows_c = run_campaign(config, workers=2)
-    assert rows_to_csv(rows_a) == rows_to_csv(rows_b) == rows_to_csv(rows_c)
+    assert rows_to_csv(run_campaign(config)) == rows_to_csv(run_campaign(config))
 
 
 def test_campaign_row_histogram_consistency():
@@ -90,7 +87,7 @@ def _fail_at_n6(monkeypatch):
 def test_campaign_records_failures_in_row(monkeypatch):
     _fail_at_n6(monkeypatch)
     config = CampaignConfig("ca", "tlv", ((6, 0.1), (8, 0.1)), trials=3, seed=1, max_steps=50)
-    rows = run_campaign(config, workers=1)
+    rows = run_campaign(config)
     assert rows[0].error is not None and rows[0].mean is None
     assert rows[1].error is None
 
@@ -98,7 +95,7 @@ def test_campaign_records_failures_in_row(monkeypatch):
 def test_campaign_error_rows_keep_the_exception_type(monkeypatch):
     _fail_at_n6(monkeypatch)
     config = CampaignConfig("ca", "tlv", ((6, 0.1),), trials=2, seed=1)
-    row = run_campaign(config, workers=1)[0]
+    row = run_campaign(config)[0]
     assert row.error == "ValueError: two-line voting needs an even total cell count"
     assert json.loads(rows_to_json([row]))["rows"][0]["error"] == row.error
 

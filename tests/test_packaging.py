@@ -36,12 +36,21 @@ def test_declared_dependencies_are_numpy_only():
     assert names == ["numpy"]
 
 
-def test_cli_import_loads_no_scipy():
+def _loaded_by_cli_import(*packages: str) -> str:
+    """The modules of ``packages`` that a fresh ``import qcadc.cli`` loads, as a list."""
     code = ("import sys; import qcadc.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            f"print(sorted(m for m in sys.modules if m.split('.')[0] in {packages!r}))")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, check=True)
-    assert result.stdout.strip() == "[]"
+    return result.stdout.strip()
+
+
+def test_cli_import_loads_no_scipy():
+    assert _loaded_by_cli_import("scipy") == "[]"
+
+
+def test_cli_import_loads_no_process_pool():
+    assert _loaded_by_cli_import("concurrent", "multiprocessing") == "[]"
 
 
 def test_every_exported_name_resolves():
