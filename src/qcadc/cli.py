@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 invalid arguments, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import math
 import sys
@@ -142,11 +143,25 @@ def _cmd_global_voting(args) -> int:
                   P=float(result.probability), T_F_periods=_float_or_inf(result.periods),
                   T_F_steps=_float_or_inf(result.steps))
     if args.format == "json":
-        text = json.dumps(values, indent=2) + "\n"
+        tokens = {key: json.dumps(experiments.finite_or_none(v), allow_nan=False)
+                  for key, v in values.items()}
     else:
-        text = ",".join(values) + "\n" + ",".join(f"{v:.10g}" for v in values.values()) + "\n"
+        tokens = {key: f"{v:.10g}" for key, v in values.items()}
+    if 0 < result.probability < sys.float_info.min:
+        tokens["P"] = _exact_g10(result.probability)  # float() would lose it to 0
+    if args.format == "json":
+        text = "{\n" + ",\n".join(f'  "{key}": {v}' for key, v in tokens.items()) + "\n}\n"
+    else:
+        text = ",".join(tokens) + "\n" + ",".join(tokens.values()) + "\n"
     _write_output(text, args.output)
     return 0
+
+
+def _exact_g10(value: Fraction) -> str:
+    """A positive Fraction in a float's ``.10g`` style, correctly rounded at any exponent."""
+    context = decimal.Context(prec=10, Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX)
+    quotient = context.divide(decimal.Decimal(value.numerator), decimal.Decimal(value.denominator))
+    return f"{quotient.normalize(context):.10g}"
 
 
 def _float_or_inf(value) -> float:

@@ -227,10 +227,16 @@ def rows_to_csv(rows: list[CampaignRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def finite_or_none(value):
+    """A value for strict JSON: null in place of a NaN or infinite float."""
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def rows_to_json(rows: list[CampaignRow], config: CampaignConfig | None = None) -> str:
+    """Rows (and the config) as strict JSON; a NaN statistic, as in a fully censored row, is null."""
     payload: dict = {
         "rows": [
-            {**{col: getattr(row, col) for col in CSV_COLUMNS},
+            {**{col: finite_or_none(getattr(row, col)) for col in CSV_COLUMNS},
              "histogram": {str(k): v for k, v in sorted(row.histogram.items())},
              "error": row.error}
             for row in rows
@@ -243,5 +249,5 @@ def rows_to_json(rows: list[CampaignRow], config: CampaignConfig | None = None) 
             "noise": config.noise, "trials": config.trials,
             "master_seed": config.seed, "max_steps": config.max_steps,
         }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 

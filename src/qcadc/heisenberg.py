@@ -3,10 +3,11 @@
 For each scheme a window collects every lattice cell (past / now / future
 slice, string, site offset) that one step's local unitaries can couple to
 the center cell.  The window unitary is the product of all local
-Toffoli/CNOT factors supported inside the window; conjugating a single
-Pauli through it must stay inside the locality region, leave every
-sigma-z untouched, and expand into projector-times-flip terms that sum
-back to the conjugated operator.
+Toffoli/CNOT factors supported inside the window, the Toffolis being
+``circuits.build_step``'s own, placed by a translation-invariant stencil.
+Conjugating a single Pauli through it must stay inside the locality
+region, leave every sigma-z untouched, and expand into (pi+/pi- projector)
+x (sigma-x flip) terms that sum back to the conjugated operator.
 
 Every step gate is a basis permutation, so the window unitary is stored
 as the permutation it applies to basis indices, and a conjugated Pauli as
@@ -16,11 +17,14 @@ limited only by memory.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cache
+from types import MappingProxyType
 
 import numpy as np
 
-from .circuits import basis_action
+from .circuits import basis_action, build_step
 
 Cell = tuple[str, int, int]  # (slice, string j, site offset); j = 0 for the single-string scheme
 
@@ -72,10 +76,35 @@ def qtlv_window() -> WindowSpec:
 # dropped; by construction of the windows nothing that could act on the
 # center observable is lost.
 
-def _toffoli_controls(scheme: str, j: int, k: int) -> list[Cell]:
-    if scheme == "q232":
-        return [("now", 0, k - 1), ("now", 0, k), ("now", 0, k + 1)]
-    return [("now", j, k - j), ("now", j, k - 2 * j), ("now", -j, k)]
+# Ring the stencils are read from: 6 cells per qtlv string, so the control
+# offsets +-1 and +-2 of either rule stay distinct.
+_STENCIL_RING = 12
+
+
+@cache
+def toffoli_stencils(scheme: str) -> Mapping[int, tuple[tuple[tuple[int, int], ...], ...]]:
+    """Per string j, the control pairs of the three Toffolis that write future cell (j, 0).
+
+    Each control is (string, site offset) on the now slice, read from
+    ``build_step(scheme, 12)``, where now cell c is qubit c, future cell c
+    is qubit 12 + c, and qtlv cells 0..5 form string +1, the rest string -1.
+    The Toffolis writing future cell (j, k) are the same pairs shifted by k.
+    The cached mapping is shared, so it is read-only.
+    """
+    n = _STENCIL_RING
+    width = n if scheme == "q232" else n // 2
+
+    def cell(qubit: int) -> tuple[int, int]:  # (string, site) of a now or future qubit
+        c = qubit % n
+        site = (c + width // 2) % width - width // 2  # sites past the middle read as negative
+        return 0 if scheme == "q232" else 1 if c < width else -1, site
+
+    stencils: dict[int, list] = {}
+    for gate in build_step(scheme, n).gates():
+        j, k = cell(gate.qubits[-1])
+        if gate.kind == "TOFFOLI" and k == 0:
+            stencils.setdefault(j, []).append(tuple(map(cell, gate.qubits[:-1])))
+    return MappingProxyType({j: tuple(pairs) for j, pairs in stencils.items()})
 
 
 def window_locals(spec: WindowSpec, strings: tuple[int, ...] = (1, -1)) -> list[list[tuple]]:
@@ -86,17 +115,17 @@ def window_locals(spec: WindowSpec, strings: tuple[int, ...] = (1, -1)) -> list[
     """
     if spec.scheme == "q232":
         strings = (0,)
+    stencils = toffoli_stencils(spec.scheme)
     locals_: list[list[tuple]] = []
     for cell in spec.cells:
         slice_, j, k = cell
         if slice_ != "future" or j not in strings:
             continue
-        controls = _toffoli_controls(spec.scheme, j, k)
-        if any(c not in spec for c in controls):
+        pairs = [[("now", s, k + d) for s, d in pair] for pair in stencils[j]]
+        if any(c not in spec for pair in pairs for c in pair):
             continue
         t = spec.qubit(cell)
-        a, b, c = (spec.qubit(ctrl) for ctrl in controls)
-        gates = [(a, c, t), (a, b, t), (b, c, t)]
+        gates = [tuple(spec.qubit(c) for c in pair) + (t,) for pair in pairs]
         past = ("past", j, k)
         if past in spec and ("now", j, k) in spec:
             gates.append((spec.qubit(("now", j, k)), spec.qubit(past)))
@@ -209,28 +238,6 @@ class Expansion:
         return len(self.terms)
 
 
-def _single_pauli_string(rows: np.ndarray, values: np.ndarray,
-                         num_qubits: int) -> ExpansionTerm | None:
-    """Match against c * (product of sigma-z / sigma-x), e.g. an invariant sigma-z."""
-    idx = np.arange(rows.size)
-    masks = rows ^ idx
-    if (masks != masks[0]).any():
-        return None
-    mask = int(masks[0])
-    flips = tuple(q for q in range(num_qubits) if (mask >> q) & 1)
-    base = values[0]
-    signs = values / base
-    z_mask = 0
-    for q in range(num_qubits):
-        if abs(signs[1 << q] + 1.0) < 1e-9:
-            z_mask |= 1 << q
-    expect = 1.0 - 2.0 * (np.bitwise_count(idx & z_mask) & 1)
-    if not np.allclose(signs, expect, atol=1e-9):
-        return None
-    zs = tuple((q, "z") for q in range(num_qubits) if (z_mask >> q) & 1)
-    return ExpansionTerm(zs, flips, complex(base))
-
-
 def _gather_bits(indices: np.ndarray, qubits: list[int]) -> np.ndarray:
     """The bits of ``indices`` at ``qubits``, the first listed qubit most significant."""
     out = np.zeros_like(indices)
@@ -250,10 +257,6 @@ def projector_expansion(op: SupportedOperator, num_qubits: int) -> Expansion:
     flip mask.  The residual is the max-abs difference between the term sum
     and the operator; anything above 1e-10 marks a failed decomposition.
     """
-    single = _single_pauli_string(op.rows, op.values, num_qubits)
-    if single is not None:
-        return Expansion((single,), 0.0)
-
     cols = np.arange(op.rows.size)
     flipped = op.rows ^ cols
     diag_cells = [q for q in op.support if not np.any((flipped >> q) & 1)]
@@ -288,20 +291,13 @@ def term_entries(term: ExpansionTerm, num_qubits: int) -> tuple[np.ndarray, np.n
     dim = 1 << num_qubits
     cols = np.arange(dim)
     keep = np.ones(dim, dtype=bool)
-    sign = np.ones(dim)
     for q, label in term.projector_pattern:
-        bit = (cols >> q) & 1
-        if label == "+":
-            keep &= bit == 0
-        elif label == "-":
-            keep &= bit == 1
-        else:  # 'z' from a single-Pauli-string match
-            sign = sign * (1.0 - 2.0 * bit)
+        keep &= ((cols >> q) & 1) == (label == "-")
     mask = 0
     for q in term.flip_pattern:
         mask |= 1 << q
     sel = cols[keep]
-    return sel ^ mask, sel, term.coefficient * sign[keep]
+    return sel ^ mask, sel, np.full(sel.size, term.coefficient)
 
 
 def compose_expansions(outer: Expansion, inner: Expansion, at_qubit: int,

@@ -7,8 +7,9 @@ the per-cell flip probability after t steps, the logical flip probability
 per update (even cell counts resolve ties to a flip with probability 1/2),
 and the geometric-distribution mean flip time 1/P.
 
-All three work with exact Fractions as well as floats; float tails are
-summed in log space, so large lattices stay overflow-safe.
+All three work with exact Fractions as well as floats; exact tails are
+one pass of integer arithmetic, and float tails are summed in log space,
+so large lattices stay overflow-safe.
 """
 from __future__ import annotations
 
@@ -57,19 +58,26 @@ def logical_flip_prob(n: int, t: int, p):
     """Probability that the update after t noise steps reads out the wrong majority.
 
     Binomial tail P[X > n/2] for X ~ Bin(n, p(t)), plus half the tie mass
-    for even n.  Exact for Fraction p; otherwise a ``math.fsum`` of
-    binomial terms evaluated in log space (overflow-safe for n ~ 10^3 and
-    beyond), with p(t) in {0, 1} returned exactly.
+    for even n, with p(t) in {0, 1} returned exactly.  Exact for Fraction p,
+    in one pass over integers: with p(t) = a/d and b = d - a, the term
+    d^n P[X = j] = C(n, j) a^j b^(n-j) is found from the one above it by an
+    exact division.  Otherwise a ``math.fsum`` of binomial terms evaluated
+    in log space (overflow-safe for n ~ 10^3 and beyond).
     """
     if n < 1:
         raise ValueError("need at least one cell")
     pt = flip_prob_after(t, p)
     if isinstance(pt, Rational):
-        tail = sum(Fraction(math.comb(n, j)) * pt**j * (1 - pt) ** (n - j)
-                   for j in range(n // 2 + 1, n + 1))
-        if n % 2 == 0:
-            tail += Fraction(math.comb(n, n // 2), 2) * (pt * (1 - pt)) ** (n // 2)
-        return tail
+        a, d = pt.numerator, pt.denominator
+        b = d - a
+        if a == 0 or b == 0:
+            return pt  # the majority is certain, as below
+        term, tail = a**n, 0  # term = d^n P[X = j], from j = n down
+        for j in range(n, n // 2, -1):
+            tail += term
+            term = term * j * b // ((n - j + 1) * a)
+        tie = term if n % 2 == 0 else 0  # d^n P[X = n/2]
+        return Fraction(2 * tail + tie, 2 * d**n)
     pt = float(pt)
     if pt in (0.0, 1.0):
         return pt  # no cell flips, or every cell does: the majority is certain

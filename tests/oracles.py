@@ -7,6 +7,7 @@ sums, and exhaustive enumerations.  Small and slow by design.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -56,6 +57,39 @@ def dense_support(O: np.ndarray, num_qubits: int, tol: float = 1e-10) -> tuple[i
     return tuple(support)
 
 
+def neighbourhood(scheme: str, j: int, k: int) -> list[tuple[str, int, int]]:
+    """The now cells (slice, string, site) whose majority writes future cell (j, k).
+
+    q232 reads sites k-1, k, k+1 of its one string (j = 0); qtlv string j
+    reads its own sites k-j and k-2j and the other string's site k.
+    """
+    if scheme == "q232":
+        return [("now", 0, k - 1), ("now", 0, k), ("now", 0, k + 1)]
+    return [("now", j, k - j), ("now", j, k - 2 * j), ("now", -j, k)]
+
+
+def reference_window_locals(spec, strings: tuple[int, ...]) -> list[list[tuple]]:
+    """Window locals of a ``heisenberg.WindowSpec`` built from ``neighbourhood``.
+
+    A future cell of a listed string whose three controls all lie in the
+    window gets the Toffolis of each control pair onto it, then the CNOT
+    from its now cell onto its past cell when both are in the window.
+    """
+    strings = (0,) if spec.scheme == "q232" else strings
+    locals_ = []
+    for slice_, j, k in spec.cells:
+        controls = neighbourhood(spec.scheme, j, k)
+        if slice_ != "future" or j not in strings or not all(c in spec for c in controls):
+            continue
+        a, b, c = (spec.qubit(cell) for cell in controls)
+        t = spec.qubit((slice_, j, k))
+        gates = [(a, c, t), (a, b, t), (b, c, t)]
+        if ("past", j, k) in spec and ("now", j, k) in spec:
+            gates.append((spec.qubit(("now", j, k)), spec.qubit(("past", j, k))))
+        locals_.append(gates)
+    return locals_
+
+
 def toffoli_matrix() -> np.ndarray:
     """Controls on qubits 2 and 1, target qubit 0."""
     U = np.eye(8, dtype=complex)
@@ -88,6 +122,32 @@ def depolarizing_channel(rho: np.ndarray, support_size: int, p: float) -> np.nda
         total += P @ rho @ P.conj().T
     frac = 4**k / (4**k - 1)
     return (1 - frac * p) * rho + (p / (4**k - 1)) * total
+
+
+def kicked_moments(kind: str, qubits: tuple[int, ...], start: int, p: float, runs: int,
+                   rng: np.random.Generator, ops: dict[str, np.ndarray]) -> dict[str, tuple[float, float]]:
+    """Per observable, the sums of <O> and <O>^2 over ``runs`` trajectories of one noisy gate.
+
+    A trajectory applies the gate to basis state ``start`` and then the
+    kick ``qsim.draw_depolarizing_kick`` draws, the draw
+    ``apply_depolarizing_after_gate`` makes, so ``rng`` is consumed as by
+    a run-by-run loop.  Each distinct kick's state is evaluated once and
+    its values are weighted by the kick's count.
+    """
+    from qcadc import qsim
+
+    counts = Counter(qsim.draw_depolarizing_kick(len(qubits), p, rng) for _ in range(runs))
+    sums = {name: [0.0, 0.0] for name in ops}
+    for labels, count in counts.items():
+        amps = np.zeros(1 << len(qubits), dtype=complex)
+        amps[start] = 1.0
+        state = qsim.apply_gate(qsim.StateVector(len(qubits), amps), qsim.Gate(kind, qubits))
+        qsim.apply_pauli_string(state, qubits, labels or "")
+        for name, op in ops.items():
+            value = float(np.vdot(state.amps, op @ state.amps).real)
+            sums[name][0] += count * value
+            sums[name][1] += count * value * value
+    return {name: tuple(pair) for name, pair in sums.items()}
 
 
 def bitflip_channel(rho: np.ndarray, qubit: int, num_qubits: int, p: float) -> np.ndarray:
@@ -139,6 +199,15 @@ def enumerate_logical_flip_exact(n: int, p_cell: Fraction) -> Fraction:
         elif 2 * k == n:
             total += weight / 2
     return total
+
+
+def binomial_logical_flip_exact(n: int, p_cell: Fraction) -> Fraction:
+    """P[X > n/2] + P[X = n/2] / 2 for X ~ Bin(n, p_cell), summed term by term as Fractions."""
+    tail = sum(Fraction(math.comb(n, j)) * p_cell**j * (1 - p_cell) ** (n - j)
+               for j in range(n // 2 + 1, n + 1))
+    if n % 2 == 0:
+        tail += Fraction(math.comb(n, n // 2), 2) * (p_cell * (1 - p_cell)) ** (n // 2)
+    return tail
 
 
 def geometric_mean_mc(prob: float, runs: int, seed: int) -> tuple[float, float]:

@@ -19,12 +19,12 @@ from qcadc import heisenberg as hz
 from qcadc.circuits import build_step, noiseless_preservation
 from qcadc.experiments import (CampaignConfig, compare_backends, evaluate_fit,
                                run_campaign)
-from qcadc.qsim import Gate, StateVector, apply_depolarizing_after_gate, apply_gate
+from qcadc.qsim import StateVector, apply_gate
 from qcadc.reversible import extend_rule, is_involution, is_permutation, is_self_dual
 from qcadc.ca import rule_from_wolfram
 from oracles import (cnot_matrix, depolarizing_channel, enumerate_logical_flip,
-                     expectation, geometric_mean_mc, pauli_string_op, step_elementary,
-                     step_tlv, toffoli_matrix)
+                     expectation, geometric_mean_mc, kicked_moments, pauli_string_op,
+                     step_elementary, step_tlv, toffoli_matrix)
 
 pytestmark = pytest.mark.acceptance
 
@@ -202,26 +202,16 @@ def test_criterion_10_depolarizing_equivalence():
         ops = {name: pauli_string_op(num_qubits, pl) for name, pl in obs.items()}
         for p in (0.05, 0.2):
             rng = np.random.default_rng(int(p * 1000) + num_qubits)
-            sums = {name: 0.0 for name in ops}
-            squares = {name: 0.0 for name in ops}
             runs = 100_000
-            for _ in range(runs):
-                amps = np.zeros(1 << num_qubits, dtype=complex)
-                amps[start] = 1.0
-                state = StateVector(num_qubits, amps)
-                apply_gate(state, Gate(kind, qubits))
-                apply_depolarizing_after_gate(state, qubits, p, rng)
-                for name, op in ops.items():
-                    value = float(np.vdot(state.amps, op @ state.amps).real)
-                    sums[name] += value
-                    squares[name] += value * value
+            moments = kicked_moments(kind, qubits, start, p, runs, rng, ops)
             gate = toffoli_matrix() if kind == "TOFFOLI" else cnot_matrix()
             rho = np.zeros((1 << num_qubits, 1 << num_qubits), dtype=complex)
             rho[start, start] = 1.0
             rho = depolarizing_channel(gate @ rho @ gate.conj().T, num_qubits, p)
             for name, op in ops.items():
-                mean = sums[name] / runs
-                stderr = math.sqrt(max(squares[name] / runs - mean**2, 0.0) / runs)
+                total, squares = moments[name]
+                mean = total / runs
+                stderr = math.sqrt(max(squares / runs - mean**2, 0.0) / runs)
                 z = abs(mean - expectation(rho, op)) / max(stderr, 1e-12)
                 worst_z = max(worst_z, z)
     assert report(10, worst_z <= 3.0,

@@ -84,6 +84,37 @@ def test_global_voting_prints_inf_past_the_float_range(capsys):
     assert values["T_F_periods"] == values["T_F_steps"] == "inf"
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_global_voting_prints_a_probability_below_the_float_range(capsys, fmt):
+    code, out, err = run_cli(capsys, "global-voting", "--n", "10000", "--p", "0.1",
+                             "--format", fmt)
+    assert code == 0, err
+    if fmt == "csv":
+        assert dict(zip(*(line.split(",") for line in out.splitlines())))["P"] == "1.622888329e-2221"
+    else:
+        assert json.loads(out, parse_float=str)["P"] == "1.622888329e-2221"  # a bare number
+
+
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_json_output_is_strict_for_non_finite_values(capsys):
+    # every trial is censored, so the row has no mean
+    code, out, err = run_cli(capsys, "flip-time", "--rule", "tlv", "--n", "20", "--p", "0.01",
+                             "--trials", "3", "--max-steps", "5", "--format", "json")
+    assert code == 0, err
+    row = _strict_json(out)["rows"][0]
+    assert row["censored"] == 3 and row["mean"] is row["stddev"] is row["stderr"] is None
+    # no flip ever happens, so the flip time is infinite
+    code, out, err = run_cli(capsys, "global-voting", "--n", "10", "--p", "0", "--format", "json")
+    assert code == 0, err
+    values = _strict_json(out)
+    assert values["P"] == 0.0 and values["T_F_periods"] is values["T_F_steps"] is None
+
+
 @pytest.mark.parametrize("p", ["1/0", "nope"])
 def test_global_voting_refuses_an_unparseable_probability(capsys, p):
     code, out, err = run_cli(capsys, "global-voting", "--n", "10", "--p", p)

@@ -3,7 +3,8 @@ import numpy as np
 import pytest
 
 from qcadc import heisenberg as hz
-from oracles import dense_support, densify, pauli_string_op
+from qcadc.circuits import build_step
+from oracles import dense_support, densify, pauli_string_op, reference_window_locals
 
 
 def test_q232_window_shape():
@@ -37,6 +38,44 @@ def test_thirteen_qubit_window_builds_a_bijection():
     ox = hz.conjugate_pauli(perm, spec.qubit(("now", 0, 0)), "X")
     expansion = hz.projector_expansion(ox, 13)
     assert expansion.term_count == 16 and expansion.residual < 1e-10
+
+
+@pytest.mark.parametrize("scheme", ["q232", "qtlv"])
+@pytest.mark.parametrize("n", [8, 10, 12])
+def test_step_toffolis_are_the_shifted_stencil(scheme, n):
+    # n = 8 and 12 pack q232 in its n % 4 == 0 layers, n = 10 in the other;
+    # qtlv strings of 4 and 6 cells take its even layers, 5 its odd ones.
+    width = n if scheme == "q232" else n // 2
+
+    def cell(qubit):  # (string, site) of a now or future qubit
+        c = qubit % n
+        return (0 if scheme == "q232" else 1 if c < width else -1), c % width
+
+    written = {}
+    for gate in build_step(scheme, n).gates():
+        if gate.kind == "TOFFOLI":
+            controls = frozenset(map(cell, gate.qubits[:-1]))
+            written.setdefault(cell(gate.qubits[-1]), set()).add(controls)
+    stencils = hz.toffoli_stencils(scheme)
+    assert len(written) == n
+    for (j, k), pairs in written.items():
+        assert pairs == {frozenset((s, (k + d) % width) for s, d in pair) for pair in stencils[j]}
+
+
+def _gate_sets(locals_):
+    """Each local as a set of gates, a Toffoli's two controls unordered."""
+    return [{(frozenset(gate[:-1]), gate[-1]) for gate in local} for local in locals_]
+
+
+@pytest.mark.parametrize("spec, strings", [
+    (hz.q232_window(), (1, -1)),
+    (hz.qtlv_window(), (1, -1)), (hz.qtlv_window(), (1,)), (hz.qtlv_window(), (-1,)),
+    (hz.WindowSpec("q232", tuple([("past", 0, 0)] + [("now", 0, d) for d in range(-3, 4)]
+                                 + [("future", 0, d) for d in range(-2, 3)])), (1, -1)),
+])
+def test_window_locals_match_the_reference_neighbourhoods(spec, strings):
+    locals_ = hz.window_locals(spec, strings)
+    assert locals_ and _gate_sets(locals_) == _gate_sets(reference_window_locals(spec, strings))
 
 
 def test_q232_basis_action_majority():
@@ -135,11 +174,14 @@ def test_expansion_residual_counts_entries_the_operator_lacks():
 
 
 def test_sigma_z_single_term_expansion():
+    # sigma-z = pi+ - pi- on the center, with no flips
     spec = hz.q232_window()
     U = hz.build_window_unitary(spec)
-    oz = hz.conjugate_pauli(U, spec.qubit(("now", 0, 0)), "Z")
+    center = spec.qubit(("now", 0, 0))
+    oz = hz.conjugate_pauli(U, center, "Z")
     expansion = hz.projector_expansion(oz, 9)
-    assert expansion.term_count == 1
+    assert [(t.projector_pattern, t.flip_pattern, t.coefficient) for t in expansion.terms] == [
+        (((center, "+"),), (), 1), (((center, "-"),), (), -1)]
     assert expansion.residual == 0.0
 
 

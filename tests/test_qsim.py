@@ -10,8 +10,8 @@ import pytest
 from qcadc import qsim
 from qcadc.qsim import Gate, SparseRegister, StateVector
 from oracles import (PAULI, apply_phenom_incoherent, bitflip_channel, cnot_matrix,
-                     depolarizing_channel, expectation, kron_all, pauli_string_op,
-                     toffoli_matrix)
+                     depolarizing_channel, expectation, kicked_moments, kron_all,
+                     pauli_string_op, toffoli_matrix)
 
 
 def basis(num_qubits, index):
@@ -299,16 +299,7 @@ def _check_depolarizing(kind, qubits, start, p, runs):
                    "X0": {0: "X"}, "ZZ": {0: "Z", 1: "Z"}}
     ops = {name: pauli_string_op(num_qubits, placement)
            for name, placement in observables.items()}
-    sums = {name: 0.0 for name in ops}
-    squares = {name: 0.0 for name in ops}
-    for _ in range(runs):
-        state = basis(num_qubits, start)
-        qsim.apply_gate(state, Gate(kind, qubits))
-        qsim.apply_depolarizing_after_gate(state, qubits, p, rng)
-        for name, op in ops.items():
-            value = float(np.vdot(state.amps, op @ state.amps).real)
-            sums[name] += value
-            squares[name] += value * value
+    moments = kicked_moments(kind, qubits, start, p, runs, rng, ops)
 
     gate = toffoli_matrix() if kind == "TOFFOLI" else cnot_matrix()
     rho = np.zeros((1 << num_qubits, 1 << num_qubits), dtype=complex)
@@ -316,8 +307,9 @@ def _check_depolarizing(kind, qubits, start, p, runs):
     rho = gate @ rho @ gate.conj().T
     rho = depolarizing_channel(rho, num_qubits, p)
     for name, op in ops.items():
-        mean = sums[name] / runs
-        var = max(squares[name] / runs - mean**2, 0.0)
+        total, squares = moments[name]
+        mean = total / runs
+        var = max(squares / runs - mean**2, 0.0)
         stderr = math.sqrt(var / runs)
         exact = expectation(rho, op)
         assert abs(mean - exact) <= 3 * stderr + 1e-12, (name, mean, exact)

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from qcadc import voting
-from oracles import enumerate_logical_flip, enumerate_logical_flip_exact, geometric_mean_mc
+from oracles import (binomial_logical_flip_exact, enumerate_logical_flip,
+                     enumerate_logical_flip_exact, geometric_mean_mc)
 
 
 def test_flip_prob_single_step():
@@ -52,6 +53,14 @@ def test_logical_flip_exact_fraction_path():
     for n in (2, 5, 8):
         pt = voting.flip_prob_after(2, p)
         assert voting.logical_flip_prob(n, 2, p) == enumerate_logical_flip_exact(n, pt)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 13, 50, 101, 200, 301])
+def test_exact_tail_matches_the_binomial_sum(n):
+    for t in (1, 2, 3):
+        for p in (Fraction(0), Fraction(1, 12), Fraction(2, 5), Fraction(1, 2), Fraction(1)):
+            expect = binomial_logical_flip_exact(n, voting.flip_prob_after(t, p))
+            assert voting.logical_flip_prob(n, t, p) == expect, (n, t, p)
 
 
 def test_logical_flip_large_n_overflow_safe():
