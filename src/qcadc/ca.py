@@ -65,7 +65,7 @@ def _rule_step(rule: RuleKind, n: int, p: float = 0.0) -> Callable[[np.ndarray],
         raise ValueError(f"the cell count n must be at least {least}, got {n}")
     if rule == "tlv":
         if n % 2:
-            raise ValueError("two-line voting needs an even total cell count")
+            raise ValueError(f"two-line voting needs an even total cell count, got {n}")
         m = n // 2
         return lambda rows: packed.step_tlv(rows, m)
     rule_bits = np.array(rule_from_wolfram(int(rule)).outputs, dtype=np.uint8)

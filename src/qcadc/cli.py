@@ -5,7 +5,9 @@ trajectory runs, the global-voting closed forms, the locality checks, the
 all-rules audit, the flip-time fit, and full campaigns.  Each flag carries
 its default; a JSON config file (--config) replaces those defaults and
 explicit flags still win.  Probabilities accept decimals or exact fractions
-like 11/72.
+like 11/72.  global-voting prints each exact value as a float unless it lies
+outside the float range; then it prints from the Fraction, so only P = 0
+gives an infinite flip time.
 
 Exit codes: 0 success, 1 invalid arguments, 2 runtime failure.
 """
@@ -14,7 +16,6 @@ from __future__ import annotations
 import argparse
 import decimal
 import json
-import math
 import sys
 import time
 from fractions import Fraction
@@ -136,19 +137,11 @@ def _cmd_qca_run(args) -> int:
 
 
 def _cmd_global_voting(args) -> int:
-    p_fraction = parse_fraction(args.p)
-    params = voting.VotingParams(args.n, p_fraction, args.delta)
-    result = voting.mean_flip_time(params)
-    values = dict(p=float(p_fraction), n=params.n, delta=params.delta,
-                  P=float(result.probability), T_F_periods=_float_or_inf(result.periods),
-                  T_F_steps=_float_or_inf(result.steps))
-    if args.format == "json":
-        tokens = {key: json.dumps(experiments.finite_or_none(v), allow_nan=False)
-                  for key, v in values.items()}
-    else:
-        tokens = {key: f"{v:.10g}" for key, v in values.items()}
-    if 0 < result.probability < sys.float_info.min:
-        tokens["P"] = _exact_g10(result.probability)  # float() would lose it to 0
+    p = parse_fraction(args.p)
+    result = voting.mean_flip_time(voting.VotingParams(args.n, p, args.delta))
+    values = dict(p=p, n=args.n, delta=args.delta, P=result.probability,
+                  T_F_periods=result.periods, T_F_steps=result.steps)
+    tokens = {key: _number_token(value, args.format) for key, value in values.items()}
     if args.format == "json":
         text = "{\n" + ",\n".join(f'  "{key}": {v}' for key, v in tokens.items()) + "\n}\n"
     else:
@@ -157,19 +150,21 @@ def _cmd_global_voting(args) -> int:
     return 0
 
 
-def _exact_g10(value: Fraction) -> str:
-    """A positive Fraction in a float's ``.10g`` style, correctly rounded at any exponent."""
-    context = decimal.Context(prec=10, Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX)
-    quotient = context.divide(decimal.Decimal(value.numerator), decimal.Decimal(value.denominator))
-    return f"{quotient.normalize(context):.10g}"
+def _number_token(value, fmt: str) -> str:
+    """``value`` printed as CSV ``.10g`` or a JSON number (null for inf), ints as ints.
 
-
-def _float_or_inf(value) -> float:
-    """An exact flip time as a float; inf where it exceeds the float range."""
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf
+    A nonzero Fraction outside the normal float range, which float() would
+    round to 0 or refuse, prints exactly in ``.10g`` style at any exponent.
+    """
+    exact = isinstance(value, Fraction) and value != 0
+    if exact and not sys.float_info.min <= value <= sys.float_info.max:
+        context = decimal.Context(prec=10, Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX)
+        quotient = context.divide(value.numerator, value.denominator)
+        return f"{quotient.normalize(context):.10g}"
+    number = value if isinstance(value, int) else float(value)
+    if fmt == "json":
+        return json.dumps(experiments.finite_or_none(number), allow_nan=False)
+    return f"{number:.10g}"
 
 
 def _cmd_heisenberg_check(args) -> int:
@@ -194,26 +189,9 @@ def _cmd_rules_audit(args) -> int:
 
 
 def _cmd_fit_eval(args) -> int:
-    p = parse_probability(args.p)
-    params = experiments.DEFAULT_FIT
-    if args.constants:
-        params = experiments.FitParams(**{**params.__dict__, **_fit_constants(args.constants)})
-    value = experiments.evaluate_fit(p, args.n, params)
+    value = experiments.evaluate_fit(parse_probability(args.p), args.n)
     _write_output(f"{value:.10g}\n", args.output)
     return 0
-
-
-def _fit_constants(constants) -> dict[str, float]:
-    """The config key 'constants': numbers for some of the FitParams fields."""
-    fields = sorted(experiments.DEFAULT_FIT.__dict__)
-    problem = (f"config key 'constants' must map fit constants {fields} to numbers, "
-               f"got {constants!r}")
-    if not isinstance(constants, dict) or not set(constants) <= set(fields):
-        raise CliError(problem)
-    try:
-        return {name: float(value) for name, value in constants.items()}
-    except (TypeError, ValueError):
-        raise CliError(problem) from None
 
 
 def _cmd_campaign(args) -> int:
@@ -325,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("fit-eval", _cmd_fit_eval,
             "Evaluate the closed-form two-line-voting flip-time fit at (p, n).")
-    p.set_defaults(constants=None)  # config key only: {name: number} for some FitParams fields
     p.add_argument("--p", default="1/10", help="per-cell per-step flip probability")
     p.add_argument("--n", type=int, default=12, help="total cell count")
 

@@ -1,10 +1,12 @@
 """Campaign orchestration: flip-time sweeps over (n, p) grids for the
-classical and quantum backends, the closed-form flip-time fit, and
-statistical backend comparisons.
+classical and quantum backends, the closed-form flip-time fit at its
+published constants, and statistical backend comparisons.
 
 A campaign is deterministic in its master seed: every grid point derives
 its own stream seed from (master seed, grid index), and ``point_row``
 computes one point's row, for campaigns and single-point commands alike.
+``CampaignConfig`` checks each point with the engine's own rules on n and
+p, so a bad grid is refused before any point runs.
 
 ``qca_flip_times`` picks the engine for QCA trajectories: incoherent and
 noiseless trajectory k is trial k of the classical flip-time Monte Carlo
@@ -26,7 +28,7 @@ from .rng import check_seed, derive_seed
 
 @dataclass(frozen=True)
 class FitParams:
-    """Constants of the fitted flip-time law for two-line voting.
+    """The published constants of the fitted flip-time law for two-line voting.
 
     mean = 2 ** (c0 + [a1 + b1 e^{k1 n} + (a2 + b2 e^{k2 n}) tanh(s (1/p - x0))] log2(1/p)^2)
     """
@@ -41,15 +43,13 @@ class FitParams:
     x0: float = 9.3
 
 
-DEFAULT_FIT = FitParams()
-
-
-def evaluate_fit(p: float, n: int, params: FitParams = DEFAULT_FIT) -> float:
+def evaluate_fit(p: float, n: int) -> float:
     """Closed-form mean flip time estimate for two-line voting at (p, n)."""
     if not 0.0 < p < 1.0:
         raise ValueError("flip probability must lie strictly between 0 and 1")
     if n < 1:
         raise ValueError("need at least one cell")
+    params = FitParams()
     f1 = params.a1 + params.b1 * math.exp(params.k1 * n)
     f2 = params.a2 + params.b2 * math.exp(params.k2 * n)
     log2_inv_p = math.log2(1.0 / p)
@@ -90,16 +90,12 @@ class CampaignConfig:
         check_seed(self.seed)
         if self.max_steps <= 0:
             raise ValueError("max_steps must be positive")
-        least = 4 if self.backend == "qca" else 1  # the step circuits need n >= 4
-        for n, p in self.grid:
-            if n < least:
-                raise ValueError(f"the {self.backend} backend needs n >= {least}, got {n}")
-            if self.backend == "qca" and n % 2:
-                raise ValueError(f"quantum backend needs even n, got {n}")
-            if self.scheme == "tlv" and n % 2:
-                raise ValueError(f"two-line voting needs an even total cell count, got {n}")
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"flip probability {p} outside [0, 1]")
+        for n, p in self.grid:  # the checks each point's engine makes when it runs
+            if self.backend == "ca":
+                ca._rule_step("tlv" if self.scheme == "tlv" else int(self.scheme), n, p)
+            else:
+                check_cell_count(n)
+                NoiseModel(self.noise, p)
 
 
 @dataclass(frozen=True)
@@ -199,9 +195,11 @@ class Comparison:
     passed: bool
 
 
-def compare_backends(row_a: CampaignRow, row_b: CampaignRow,
-                     threshold: float = 3.0) -> Comparison:
-    """Two-sample z test on the means; passes when |z| < threshold."""
+Z_THRESHOLD = 3.0
+
+
+def compare_backends(row_a: CampaignRow, row_b: CampaignRow) -> Comparison:
+    """Two-sample z test on the means; passes when |z| < Z_THRESHOLD."""
     if row_a.mean is None or row_b.mean is None:
         raise ValueError("cannot compare failed campaign rows")
     spread = math.hypot(row_a.stderr, row_b.stderr)
@@ -209,7 +207,7 @@ def compare_backends(row_a: CampaignRow, row_b: CampaignRow,
         same = row_a.mean == row_b.mean
         return Comparison(0.0 if same else math.inf, same)
     z = abs(row_a.mean - row_b.mean) / spread
-    return Comparison(z, z < threshold)
+    return Comparison(z, z < Z_THRESHOLD)
 
 
 def _fmt(value) -> str:

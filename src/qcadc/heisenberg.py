@@ -195,8 +195,7 @@ def conjugate_pauli(perm: np.ndarray, qubit: int, kind: str = "X") -> SupportedO
     return SupportedOperator(rows, values, operator_support(rows, values))
 
 
-def operator_support(rows: np.ndarray, values: np.ndarray,
-                     tol: float = SUPPORT_TOL) -> tuple[int, ...]:
+def operator_support(rows: np.ndarray, values: np.ndarray) -> tuple[int, ...]:
     """Qubits where the operator (rows, values) fails the partial-trace triviality test.
 
     Qubit q is trivial iff O = tr_q(O)/2 (x) 1_q, i.e. both off-diagonal
@@ -211,7 +210,7 @@ def operator_support(rows: np.ndarray, values: np.ndarray,
             support.append(q)  # some entry crosses the q block boundary
             continue
         same_rows = np.array_equal(rows[cols ^ e], rows ^ e)
-        if not same_rows or np.abs(values[cols ^ e] - values).max() > tol:
+        if not same_rows or np.abs(values[cols ^ e] - values).max() > SUPPORT_TOL:
             support.append(q)
     return tuple(support)
 

@@ -9,7 +9,10 @@ and the geometric-distribution mean flip time 1/P.
 
 All three work with exact Fractions as well as floats; exact tails are
 one pass of integer arithmetic, and float tails are summed in log space,
-so large lattices stay overflow-safe.
+so large lattices stay overflow-safe.  The float path loses a P below the
+normal float range: it rounds to a subnormal or to 0.0 (n = 10^4, p = 0.1,
+where the exact P is about 1.6e-2221), and its flip time 1/P to inf.
+Fraction inputs stay exact at any size.
 """
 from __future__ import annotations
 

@@ -2,14 +2,16 @@
 import itertools
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from qcadc import voting
-from qcadc.cli import main, parse_probability
+from qcadc import experiments, voting
+from qcadc.cli import build_parser, main, parse_probability
 
 
 def run_cli(capsys, *args):
@@ -77,11 +79,11 @@ def test_global_voting_matches_closed_form(capsys):
     assert float(values["T_F_steps"]) == pytest.approx(float(result.steps), rel=1e-9)
 
 
-def test_global_voting_prints_inf_past_the_float_range(capsys):
+def test_global_voting_prints_a_flip_time_past_the_float_range(capsys):
     code, out, err = run_cli(capsys, "global-voting", "--n", "1400", "--p", "0.1")
     assert code == 0, err
     values = dict(zip(*(line.split(",") for line in out.splitlines())))
-    assert values["T_F_periods"] == values["T_F_steps"] == "inf"
+    assert values["T_F_periods"] == values["T_F_steps"] == "2.909008731e+312"
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -90,9 +92,11 @@ def test_global_voting_prints_a_probability_below_the_float_range(capsys, fmt):
                              "--format", fmt)
     assert code == 0, err
     if fmt == "csv":
-        assert dict(zip(*(line.split(",") for line in out.splitlines())))["P"] == "1.622888329e-2221"
+        values = dict(zip(*(line.split(",") for line in out.splitlines())))
     else:
-        assert json.loads(out, parse_float=str)["P"] == "1.622888329e-2221"  # a bare number
+        values = json.loads(out, parse_float=str)  # bare numbers
+    assert values["P"] == "1.622888329e-2221"
+    assert values["T_F_periods"] == values["T_F_steps"] == "6.161853418e+2220"
 
 
 def _strict_json(text):
@@ -266,7 +270,8 @@ def test_campaign_refuses_lattices_below_the_backend_minimum(tmp_path, capsys, b
     code, out, err = run_cli(capsys, "campaign", "--config", str(cfg),
                              "--output", str(tmp_path / "out"))
     assert code == 1 and out == ""
-    assert f"the {backend} backend needs n >= {1 if backend == 'ca' else 4}, got {n}" in err
+    assert (f"the cell count n must be at least 1, got {n}" if backend == "ca" else
+            f"a quantized rule needs an even cell count >= 4, got {n}") in err
     assert not (tmp_path / "out.csv").exists()
 
 
@@ -399,9 +404,9 @@ def test_config_file_merge_flags_win(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, loaded, message", [
-    ("fit-eval", {"constants": {"zz": 1}}, "to numbers, got {'zz': 1}"),
-    ("fit-eval", {"constants": {"c0": "abc"}}, "to numbers, got {'c0': 'abc'}"),
-    ("fit-eval", {"constants": 5}, "config key 'constants' must map fit constants ['a1', "),
+    ("fit-eval", {"constants": {"a1": 2.0}}, "unknown config keys: ['constants']"),
+    ("fit-eval", {"p": [0.1]}, "config key 'p' takes str, got [0.1]"),
+    ("campaign", {"grid": [[4, "abc"]]}, "cannot parse probability 'abc'"),
     ("campaign", {"grid": 5}, "config key 'grid' must be a list of [n, p] points, got 5"),
     ("campaign", {"grid": [[4, "0.1", 3]]}, "config key 'grid' must be a list of [n, p] points"),
     ("flip-time", [1, 2], "config file must hold a JSON object of flag values, got list"),
@@ -457,7 +462,7 @@ CONFIG_CASES = [
      ("delta", 2), "delta"),
     ("heisenberg-check", {}, {"scheme": "q232"}, ("scheme", "qtlv"), "scheme"),
     ("rules-audit", {}, {"output": "audit.csv"}, ("output", "other.csv"), "output"),
-    ("fit-eval", {"constants": {"a1": 2.0}}, {"p": "11/72", "n": 20}, ("p", "1/10"), "n"),
+    ("fit-eval", {}, {"p": "11/72", "n": 20}, ("p", "1/10"), "n"),
     ("campaign", {"grid": [[8, "1/5"]]}, {"backend": "ca", "scheme": "232", "noise": "bitflip",
                                           "trials": 40, "seed": 9, "max_steps": 5000,
                                           "workers": 1}, ("trials", 60), "seed"),
@@ -505,6 +510,28 @@ def test_config_refuses_parser_internals(tmp_path, capsys, key):
     code, out, err = run_cli(capsys, "fit-eval", "--config", str(config))
     assert code == 1 and out == ""
     assert f"unknown config keys: [{key!r}]" in err
+
+
+def _readme_blocks(language):
+    """The bodies of README's fenced code blocks in ``language``."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    return re.findall(rf"```{language}\n(.*?)```", readme.read_text(), flags=re.S)
+
+
+def test_readme_cli_examples_parse(tmp_path, monkeypatch, capsys):
+    examples = [line for block in _readme_blocks("sh") for line in block.splitlines()
+                if line.startswith("qcadc ")]
+    assert len(examples) >= 9
+    parser = build_parser()
+    for line in examples:
+        parser.parse_args(shlex.split(line)[1:])  # an unknown flag or value exits here
+    # the campaign config goes through the same loading and validation as a real run
+    (campaign,) = _readme_blocks("json")
+    config = tmp_path / "campaign.json"
+    config.write_text(campaign)
+    monkeypatch.setattr(experiments, "run_campaign", lambda config: [])
+    code, _, err = run_cli(capsys, "campaign", "--config", str(config))
+    assert code == 0, err
 
 
 def test_help_lists_the_defaults():

@@ -1,6 +1,7 @@
 """Fit law, campaigns, and backend comparisons."""
 import json
 import math
+import re
 
 import pytest
 
@@ -47,11 +48,6 @@ def test_fit_rejects_bad_inputs():
         evaluate_fit(1.0, 10)
     with pytest.raises(ValueError):
         evaluate_fit(0.1, 0)
-
-
-def test_fit_params_overridable():
-    params = experiments.FitParams(c0=2.5)
-    assert evaluate_fit(0.1, 10, params) == pytest.approx(2 * evaluate_fit(0.1, 10))
 
 
 def test_point_seed_is_order_free_and_distinct():
@@ -114,7 +110,9 @@ def test_campaign_config_validation():
             CampaignConfig(backend, "tlv", ((8, 0.2),), noise=noise, max_steps=0)
     for backend, noise, n in (("ca", "bitflip", 0), ("ca", "bitflip", -4),
                               ("qca", "coherent", 2), ("qca", "depolarizing", 0)):
-        with pytest.raises(ValueError, match=f"backend needs n >= .*, got {n}"):
+        message = (f"the cell count n must be at least 1, got {n}" if backend == "ca" else
+                   f"a quantized rule needs an even cell count >= 4, got {n}")
+        with pytest.raises(ValueError, match=re.escape(message)):
             CampaignConfig(backend, "232", ((8, 0.2), (n, 0.2)), noise=noise)
     CampaignConfig("ca", "232", ((1, 0.2),))
     CampaignConfig("qca", "232", ((4, 0.2),), noise="depolarizing")

@@ -153,11 +153,13 @@ def test_incoherent_channel_edges():
 def test_incoherent_channel_matches_exact():
     p = 1 / 6
     rng = np.random.default_rng(42)
-    total_z = 0.0
     runs = 100_000
-    for _ in range(runs):
-        state = apply_phenom_incoherent(StateVector(1), (0,), p, rng)
-        total_z += qsim.expectation_z_sum(state, (0,))
+    # apply_phenom_incoherent flips on one rng.random() < p per run: count those draws,
+    # then weight the flipped and the kept state's <Z> (exact +-1 sums in any order)
+    flips = int(np.count_nonzero(rng.random(runs) < p))
+    flipped, kept = (qsim.expectation_z_sum(apply_phenom_incoherent(StateVector(1), (0,), q, rng),
+                                            (0,)) for q in (1.0, 0.0))
+    total_z = flips * flipped + (runs - flips) * kept
     rho = bitflip_channel(np.diag([1.0 + 0j, 0]), 0, 1, p)
     exact = expectation(rho, PAULI["Z"])
     assert exact == pytest.approx(1 - 2 * p)
