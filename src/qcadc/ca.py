@@ -95,7 +95,7 @@ def noisy_orbit(rule: RuleKind, n: int, p: float, steps: int, seed: int = 0,
         row = packed.zeros(1, n)
         yield packed.unpack_bits(row, n)[0]
         for t in range(1, steps + 1):
-            row = step(row ^ packed.pack_bits(rng.bernoulli_matrix(seed, trial, t, n, p)))
+            row = step(row ^ rng.bernoulli_matrix(seed, trial, t, n, p))
             yield packed.unpack_bits(row, n)[0]
     return states()
 
@@ -150,7 +150,7 @@ def _batch_flip_times(n: int, rule: RuleKind, p: float, seed: int,
     for t in range(1, max_steps + 1):
         if active.size == 0:
             break
-        rows ^= packed.pack_bits(rng.bernoulli_matrix(seed, live, t, n, p))
+        rows ^= rng.bernoulli_matrix(seed, live, t, n, p)
         rows = step(rows)
         flipped = packed.popcount(rows) > need
         if flipped.any():

@@ -25,6 +25,13 @@ def zeros(trials: int, n: int) -> np.ndarray:
     return np.zeros((trials, n_words(n)), dtype=np.uint64)
 
 
+def ones(trials: int, n: int) -> np.ndarray:
+    """Rows with all n cells set and every bit >= n clear."""
+    words = np.full((trials, n_words(n)), ~np.uint64(0))
+    _mask_top(words, n)
+    return words
+
+
 def pack_bits(bits: np.ndarray) -> np.ndarray:
     """Pack a (trials, n) array of 0/1 values into (trials, n_words(n)) words.
 
@@ -101,14 +108,22 @@ def step_elementary(words: np.ndarray, n: int, rule_bits: np.ndarray) -> np.ndar
     """One synchronous update under an arbitrary nearest-neighbor binary rule.
 
     ``rule_bits[b]`` is the output for the neighborhood whose (left, self,
-    right) states read as the binary number b.
+    right) states read as the binary number b.  Each minterm is built in two
+    scratch rows, a cell's state or its complement at a time.
     """
     left, right = rotate(words, 1, n), rotate(words, -1, n)
-    sides = ((~left, left), (~words, words), (~right, right))
     out = np.zeros_like(words)
+    term, scratch = np.empty_like(words), np.empty_like(words)
     for b in range(8):
-        if rule_bits[b]:
-            out |= sides[0][(b >> 2) & 1] & sides[1][(b >> 1) & 1] & sides[2][b & 1]
+        if not rule_bits[b]:
+            continue
+        if b & 4:
+            np.copyto(term, left)
+        else:
+            np.invert(left, out=term)
+        for bit, cells in ((b & 2, words), (b & 1, right)):
+            term &= cells if bit else np.invert(cells, out=scratch)
+        out |= term
     _mask_top(out, n)
     return out
 

@@ -186,7 +186,7 @@ class NoiseModel:
         if self.kind not in ("none", "incoherent", "coherent", "depolarizing"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
         if not 0.0 <= self.p <= 1.0:
-            raise ValueError("noise strength must lie in [0, 1]")
+            raise ValueError(f"noise strength must lie in [0, 1], got {self.p}")
 
     @property
     def theta(self) -> float:

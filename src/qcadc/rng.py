@@ -4,10 +4,17 @@ Every draw is a pure function of (seed, trial, step, cell), so orbits are
 reproducible bit-for-bit no matter how trials are batched.  The generator
 is two rounds of the splitmix64 finalizer chained over the key words,
 evaluated with vectorized uint64 arithmetic.
+
+A step's noise arrives as packed rows in the layout of :mod:`qcadc.packed`,
+ready to XOR into the configuration rows.  Besides those rows (one bit per
+trial and cell), drawing them holds one chunk of hash words with its
+scratch copy and one chunk of booleans, whatever the number of trials.
 """
 from __future__ import annotations
 
 import numpy as np
+
+from . import packed
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -49,18 +56,24 @@ def derive_seed(seed: int, stream: int) -> int:
 
 
 def bernoulli_matrix(seed: int, trials: np.ndarray, step: int, n_cells: int, p: float) -> np.ndarray:
-    """Boolean matrix of independent Bernoulli(p) draws, shape (len(trials), n_cells).
+    """Independent Bernoulli(p) draws as packed rows, shape (len(trials), n_words(n_cells)).
 
-    Entry (i, c) is ``word < p * 2^64`` for the 64-bit hash word
+    Cell c of row i (bit c % 64 of word c // 64, as in :mod:`qcadc.packed`)
+    is ``word < p * 2^64`` for the 64-bit hash word
     mix(mix(mix(key + trial_i + G) + step + G) + c + G), where key =
-    mix64(seed + G) and G is the golden-ratio constant.  The (trial, cell)
-    words are hashed in place, CHUNK_WORDS at a time.
+    mix64(seed + G) and G is the golden-ratio constant; every bit >= n_cells
+    is clear.  The (trial, cell) words are hashed in place, CHUNK_WORDS at a
+    time, and each chunk's comparisons are packed straight into its own
+    words, so a call holds the packed rows, the hash chunk and its scratch,
+    and one chunk of booleans: never a (trials, n_cells) boolean matrix.
     """
-    shape = (len(trials), n_cells)
     if p <= 0.0:
-        return np.zeros(shape, dtype=bool)
+        return packed.zeros(len(trials), n_cells)
     if p >= 1.0:
-        return np.ones(shape, dtype=bool)
+        return packed.ones(len(trials), n_cells)
+    out = np.empty((len(trials), packed.n_words(n_cells)), dtype=np.uint64)
+    if out.size == 0:
+        return out
     threshold = np.uint64(int(p * 2.0**64))
     key = mix64((seed & _MASK) + _GOLDEN)
     h = np.asarray(trials).astype(np.uint64)
@@ -72,11 +85,11 @@ def bernoulli_matrix(seed: int, trials: np.ndarray, step: int, n_cells: int, p: 
     cells = np.arange(n_cells, dtype=np.uint64)
     cells += np.uint64(_GOLDEN)
 
-    out = np.empty(shape, dtype=bool)
-    if out.size == 0:
-        return out
+    # Column chunks start at multiples of CHUNK_WORDS, hence on word
+    # boundaries; a chunk's booleans sit in rows padded to whole words, with
+    # the padding clear, so that pack_bits packs them without a copy.
     cols = min(n_cells, CHUNK_WORDS)
-    rows = min(shape[0], max(1, CHUNK_WORDS // n_cells))
+    rows = min(len(trials), max(1, CHUNK_WORDS // n_cells))
     # Words and scratch share one allocation.  Two equal ~240 KiB buffers
     # (1,500 trials of 20 cells) left glibc's heap just past its trim
     # threshold, so their pages went back to the system and were faulted in
@@ -84,12 +97,19 @@ def bernoulli_matrix(seed: int, trials: np.ndarray, step: int, n_cells: int, p: 
     # n=20 campaign).  Freeing one buffer of twice the size raises glibc's
     # thresholds past every later chunk.
     words, tmp = np.empty((2, rows, cols), dtype=np.uint64)
-    for r0 in range(0, shape[0], rows):
-        r1 = min(r0 + rows, shape[0])
+    bits = np.zeros(rows * packed.WORD * packed.n_words(cols), dtype=bool)
+    for r0 in range(0, len(trials), rows):
+        r1 = min(r0 + rows, len(trials))
         for c0 in range(0, n_cells, cols):
             c1 = min(c0 + cols, n_cells)
+            w0, w1 = c0 // packed.WORD, packed.n_words(c1)
+            width = packed.WORD * (w1 - w0)
+            if c1 - c0 < cols:  # the last of several column chunks: clear its padding
+                bits[c1 - c0:width] = False
             w, s = words[: r1 - r0, : c1 - c0], tmp[: r1 - r0, : c1 - c0]
+            chunk = bits[: (r1 - r0) * width].reshape(r1 - r0, width)
             np.add(h[r0:r1, None], cells[None, c0:c1], out=w)
             _mix(w, s)
-            np.less(w, threshold, out=out[r0:r1, c0:c1])
+            np.less(w, threshold, out=chunk[:, : c1 - c0])
+            out[r0:r1, w0:w1] = packed.pack_bits(chunk)
     return out

@@ -300,6 +300,60 @@ def noisy_orbit(rule, n: int, p: float, steps: int, seed: int, trial: int) -> li
     return states
 
 
+def exact_flip_law(rule, n: int, p: float, max_steps: int) -> tuple[np.ndarray, float, float]:
+    """Exact flip-time law of the noisy CA on n <= 8 cells from its absorbing Markov chain.
+
+    A state is a post-update configuration, cell i at bit i of its index.
+    A step from configuration c flips each cell with probability p, so it
+    reaches z with probability p^d (1-p)^(n-d) for d = popcount(c ^ z), and
+    then applies the plain-array rule to z.  The transient states are the
+    configurations whose own popcount is at most n/2; the others absorb.
+    Returns (pmf, censored, mean): pmf[t-1] = P(T = t) for t = 1..max_steps,
+    censored = P(T > max_steps), and E[T] from (I - Q) tau = 1 on the
+    transient block Q.
+    """
+    size = 1 << n
+    cells = ((np.arange(size)[:, None] >> np.arange(n)) & 1).astype(np.uint8)
+    images = np.array([step_tlv(c) if rule == "tlv" else step_elementary(c, rule)
+                       for c in cells])
+    image_index = images.astype(np.int64) @ (1 << np.arange(n))
+    flips = cells.sum(axis=1)[np.arange(size)[:, None] ^ np.arange(size)[None, :]]
+    noise = p ** flips * (1 - p) ** (n - flips)
+    rule_map = np.zeros((size, size))
+    rule_map[np.arange(size), image_index] = 1.0
+    kernel = noise @ rule_map
+    transient = 2 * cells.sum(axis=1) <= n  # index 0, all-0, is the first transient state
+    block = kernel[np.ix_(transient, transient)]
+    absorb = kernel[np.ix_(transient, ~transient)].sum(axis=1)
+    survival = np.zeros(block.shape[0])
+    survival[0] = 1.0
+    pmf = np.empty(max_steps)
+    for t in range(max_steps):
+        pmf[t] = survival @ absorb
+        survival = survival @ block
+    tau = np.linalg.solve(np.eye(block.shape[0]) - block, np.ones(block.shape[0]))
+    return pmf, float(survival.sum()), float(tau[0])
+
+
+def pooled_chi_square(observed: np.ndarray, expected: np.ndarray,
+                      least: float = 5.0) -> tuple[float, int]:
+    """Pearson X^2 and its degrees of freedom over consecutive bins pooled,
+    left to right, until each expects at least ``least``; a short remainder
+    joins the last pooled bin."""
+    bins: list[list[float]] = []
+    o_acc = e_acc = 0.0
+    for o, e in zip(observed, expected):
+        o_acc, e_acc = o_acc + o, e_acc + e
+        if e_acc >= least:
+            bins.append([o_acc, e_acc])
+            o_acc = e_acc = 0.0
+    if e_acc > 0 or o_acc > 0:
+        bins[-1][0] += o_acc
+        bins[-1][1] += e_acc
+    x2 = sum((o - e) ** 2 / e for o, e in bins)
+    return x2, len(bins) - 1
+
+
 @dataclass(frozen=True)
 class LogicalRegisterMap:
     """Which physical qubits of the dense 2n-qubit register hold the now and future registers.

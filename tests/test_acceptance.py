@@ -23,8 +23,8 @@ from qcadc.qsim import StateVector, apply_gate
 from qcadc.reversible import extend_rule, is_involution, is_permutation, is_self_dual
 from qcadc.ca import rule_from_wolfram
 from oracles import (cnot_matrix, depolarizing_channel, enumerate_logical_flip,
-                     expectation, geometric_mean_mc, kicked_moments, pauli_string_op,
-                     step_elementary, step_tlv, toffoli_matrix)
+                     exact_flip_law, expectation, geometric_mean_mc, kicked_moments,
+                     pauli_string_op, step_elementary, step_tlv, toffoli_matrix)
 
 pytestmark = pytest.mark.acceptance
 
@@ -86,15 +86,21 @@ def test_criterion_01_reconciliation_rounded_p():
 
 
 def test_criterion_02_qca_equals_ca_incoherent(qca_incoherent, ca_reference):
+    # Both rows come from the classical Monte Carlo (incoherent QCA runs are
+    # its trials), so each is also held to the exact absorbing-chain mean.
     details = []
     passed = True
     for scheme in ("232", "tlv"):
         for p in (1 / 6, 1 / 12):
-            comparison = compare_backends(qca_incoherent[(scheme, p)],
-                                          ca_reference[(scheme, p)])
-            details.append(f"{scheme}@1/{round(1/p)}: z={comparison.z_score:.2f}")
-            passed = passed and comparison.passed
-    assert report(2, passed, "QCA vs CA flip-time means, " + ", ".join(details))
+            qca, classical = qca_incoherent[(scheme, p)], ca_reference[(scheme, p)]
+            comparison = compare_backends(qca, classical)
+            exact = exact_flip_law(232 if scheme == "232" else "tlv", 8, p, 1)[2]
+            off = [abs(row.mean - exact) / row.stderr for row in (qca, classical)]
+            details.append(f"{scheme}@1/{round(1/p)}: z={comparison.z_score:.2f}, "
+                           f"QCA {qca.mean:.2f} ({off[0]:.2f} se) and CA {classical.mean:.2f} "
+                           f"({off[1]:.2f} se) vs exact {exact:.4f}")
+            passed = passed and comparison.passed and max(off) < 4
+    assert report(2, passed, "QCA vs CA flip-time means, " + "; ".join(details))
 
 
 def test_criterion_03_noiseless_preservation():

@@ -177,6 +177,26 @@ def test_flip_times_match_recorded_arrays(case):
     assert times.tolist() == case["times"]
 
 
+@pytest.mark.parametrize("rule, n, p, seed, exact_mean", [
+    ("tlv", 8, 1 / 6, 3, 15.6253), (232, 8, 1 / 12, 5, 52.1240),
+    ("tlv", 6, 1 / 8, 7, 26.4021), (30, 5, 0.1, 1, 2.4552),
+], ids=["tlv-8-1/6", "232-8-1/12", "tlv-6-1/8", "30-5-0.1"])
+def test_flip_time_histograms_follow_the_exact_law(rule, n, p, seed, exact_mean):
+    # The whole flip-time distribution, hash stream included, against the
+    # absorbing-chain law: Pearson X^2 over bins pooled to expect >= 5, the
+    # censored trials in the last bin, passing while X^2 stays within 5
+    # standard deviations (sqrt(2 df)) of its mean df.
+    trials, max_steps = 4000, 400
+    pmf, censored, mean = oracles.exact_flip_law(rule, n, p, max_steps)
+    assert mean == pytest.approx(exact_mean, abs=1e-4)
+    stats = ca.flip_time_stats(n, rule, p, trials, seed, max_steps)
+    observed = np.zeros(max_steps + 1)
+    observed[np.array(list(stats.histogram)) - 1] = list(stats.histogram.values())
+    observed[-1] = stats.max_steps_hit
+    x2, df = oracles.pooled_chi_square(observed, trials * np.append(pmf, censored))
+    assert (x2 - df) / math.sqrt(2 * df) < 5
+
+
 def _orbit_flip_time(rule, n, p, seed, trial, max_steps):
     """First step whose post-update state has a strict majority of 1s, from the
     unpacked oracle orbit; -1 if none within max_steps."""

@@ -193,7 +193,7 @@ def test_qca_run_refuses_p_outside_unit_interval(capsys, noise):
     code, out, err = run_cli(capsys, "qca-run", "--scheme", "q232", "--n", "4",
                              "--noise", noise, "--p", "1.5", "--trials", "2")
     assert code == 1 and out == ""
-    assert "noise strength must lie in [0, 1]" in err
+    assert "noise strength must lie in [0, 1], got 1.5" in err
 
 
 def test_qca_run_refuses_zero_trials_without_a_circuit_dump(capsys):
@@ -251,7 +251,7 @@ def test_flip_time_refuses_p_outside_unit_interval(capsys, p):
     code, out, err = run_cli(capsys, "flip-time", "--rule", "232", "--n", "5",
                              "--p", p, "--trials", "3")
     assert code == 1 and out == ""
-    assert "flip probability must lie in [0, 1]" in err
+    assert f"flip probability must lie in [0, 1], got {float(p)}" in err
 
 
 @pytest.mark.parametrize("rule, n", [("232", "0"), ("232", "-4"), ("tlv", "0")])
@@ -403,23 +403,42 @@ def test_config_file_merge_flags_win(tmp_path, capsys):
     assert out_override.splitlines()[1].split(",")[6] == "60"
 
 
+def config_case(label, command, loaded, message):
+    """A case whose id its label fixes, so adding or deleting a case renames no other."""
+    return pytest.param(command, loaded, message, id=f"{command}-{label}-{message}")
+
+
+# The first thirteen labels are the positional ids these cases were first listed under.
 @pytest.mark.parametrize("command, loaded, message", [
-    ("fit-eval", {"constants": {"a1": 2.0}}, "unknown config keys: ['constants']"),
-    ("fit-eval", {"p": [0.1]}, "config key 'p' takes str, got [0.1]"),
-    ("campaign", {"grid": [[4, "abc"]]}, "cannot parse probability 'abc'"),
-    ("campaign", {"grid": 5}, "config key 'grid' must be a list of [n, p] points, got 5"),
-    ("campaign", {"grid": [[4, "0.1", 3]]}, "config key 'grid' must be a list of [n, p] points"),
-    ("flip-time", [1, 2], "config file must hold a JSON object of flag values, got list"),
+    config_case("loaded0", "fit-eval", {"constants": {"a1": 2.0}},
+                "unknown config keys: ['constants']"),
+    config_case("loaded1", "fit-eval", {"p": [0.1]}, "config key 'p' takes str, got [0.1]"),
+    config_case("loaded2", "campaign", {"grid": [[4, "abc"]]}, "cannot parse probability 'abc'"),
+    config_case("loaded3", "campaign", {"grid": 5},
+                "config key 'grid' must be a list of [n, p] points, got 5"),
+    config_case("loaded4", "campaign", {"grid": [[4, "0.1", 3]]},
+                "config key 'grid' must be a list of [n, p] points"),
+    config_case("loaded5", "flip-time", [1, 2],
+                "config file must hold a JSON object of flag values, got list"),
     # Each value goes through its flag's type and choices, and a bool flag takes a bool.
-    ("flip-time", {"format": "xml"}, "config key 'format' takes csv or json, got 'xml'"),
-    ("flip-time", {"n": "abc"}, "config key 'n' takes int, got 'abc'"),
-    ("flip-time", {"trials": 2.9, "seed": True}, "config key 'trials' takes int, got 2.9"),
-    ("flip-time", {"seed": True}, "config key 'seed' takes int, got True"),
-    ("campaign", {"backend": "qca", "scheme": "tlv", "grid": [[8.7, "1/12"]]},
-     "config key 'grid' must be a list of [n, p] points, got [[8.7, '1/12']]"),
-    ("qca-run", {"decompose": "no", "dump_circuit": "-", "trials": 0},
-     "config key 'decompose' takes true or false, got 'no'"),
-    ("qca-run", {"phi": [0.3]}, "config key 'phi' takes float, got [0.3]"),
+    config_case("loaded6", "flip-time", {"format": "xml"},
+                "config key 'format' takes csv or json, got 'xml'"),
+    config_case("loaded7", "flip-time", {"n": "abc"}, "config key 'n' takes int, got 'abc'"),
+    config_case("loaded8", "flip-time", {"trials": 2.9, "seed": True},
+                "config key 'trials' takes int, got 2.9"),
+    config_case("loaded9", "flip-time", {"seed": True}, "config key 'seed' takes int, got True"),
+    config_case("loaded10", "campaign",
+                {"backend": "qca", "scheme": "tlv", "grid": [[8.7, "1/12"]]},
+                "config key 'grid' must be a list of [n, p] points, got [[8.7, '1/12']]"),
+    config_case("loaded11", "qca-run", {"decompose": "no", "dump_circuit": "-", "trials": 0},
+                "config key 'decompose' takes true or false, got 'no'"),
+    config_case("loaded12", "qca-run", {"phi": [0.3]}, "config key 'phi' takes float, got [0.3]"),
+    # A grid point's p is checked by its backend's engine, which names the value.
+    config_case("ca-p-above-1", "campaign", {"backend": "ca", "grid": [[4, "1.5"]]},
+                "flip probability must lie in [0, 1], got 1.5"),
+    config_case("qca-p-above-1", "campaign",
+                {"backend": "qca", "noise": "depolarizing", "grid": [[4, "1.5"]]},
+                "noise strength must lie in [0, 1], got 1.5"),
 ])
 def test_malformed_config_values_exit_1(tmp_path, capsys, command, loaded, message):
     config = tmp_path / "cfg.json"
@@ -430,7 +449,8 @@ def test_malformed_config_values_exit_1(tmp_path, capsys, command, loaded, messa
 
 
 @pytest.mark.parametrize("command, shared, written", [("flip-time", {}, "1"),
-                                                     ("campaign", {"grid": [[4, "0.1"]]}, "1.csv")])
+                                                     ("campaign", {"grid": [[4, "0.1"]]}, "1.csv")],
+                         ids=["flip-time-shared0-1", "campaign-shared1-1.csv"])
 def test_config_numbers_for_string_flags_read_as_tokens(tmp_path, monkeypatch, capsys,
                                                         command, shared, written):
     config = tmp_path / "cfg.json"

@@ -1,4 +1,6 @@
 """Bit-packed kernels against plain-integer and plain-array references."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -62,6 +64,7 @@ def test_packed_tlv_step_matches_reference(m):
 def test_bernoulli_matrix_deterministic_and_batch_independent():
     trials = np.arange(10)
     full = rng.bernoulli_matrix(42, trials, 7, 33, 0.3)
+    assert full.dtype == np.uint64 and full.shape == (10, 1)
     again = rng.bernoulli_matrix(42, trials, 7, 33, 0.3)
     assert np.array_equal(full, again)
     subset = rng.bernoulli_matrix(42, trials[3:6], 7, 33, 0.3)
@@ -80,22 +83,39 @@ def test_bernoulli_matrix_equals_the_unchunked_hash(seed, step, trials, n_cells)
     for p in (1 / 16, 0.5, 0.999):
         got = rng.bernoulli_matrix(seed, indices, step, n_cells, p)
         expect = uniform_words(seed, indices, step, np.arange(n_cells)) < np.uint64(int(p * 2.0**64))
-        assert got.dtype == bool and got.shape == (trials, n_cells)
-        assert np.array_equal(got, expect)
+        assert got.dtype == np.uint64 and got.shape == (trials, packed.n_words(n_cells))
+        assert np.array_equal(packed.unpack_bits(got, n_cells), expect)
+        assert np.array_equal(got, packed.pack_bits(expect))  # every bit >= n_cells clear
 
 
 def test_bernoulli_matrix_edge_probabilities():
     trials = np.arange(4)
-    assert not rng.bernoulli_matrix(1, trials, 0, 50, 0.0).any()
-    assert rng.bernoulli_matrix(1, trials, 0, 50, 1.0).all()
-    assert not rng.bernoulli_matrix(1, trials, 0, 50, -0.5).any()
-    assert rng.bernoulli_matrix(1, trials, 0, 50, 1.5).all()
-    assert rng.bernoulli_matrix(1, trials[:0], 3, 50, 0.5).shape == (0, 50)
+    assert not packed.unpack_bits(rng.bernoulli_matrix(1, trials, 0, 50, 0.0), 50).any()
+    assert packed.unpack_bits(rng.bernoulli_matrix(1, trials, 0, 50, 1.0), 50).all()
+    assert not packed.unpack_bits(rng.bernoulli_matrix(1, trials, 0, 50, -0.5), 50).any()
+    assert packed.unpack_bits(rng.bernoulli_matrix(1, trials, 0, 50, 1.5), 50).all()
+    assert rng.bernoulli_matrix(1, trials[:0], 3, 50, 0.5).shape == (0, 1)
+    for n_cells in (50, 130):  # every bit >= n_cells stays clear
+        assert packed.popcount(rng.bernoulli_matrix(1, trials, 0, n_cells, 1.0)).tolist() == \
+            [n_cells] * 4
 
 
 def test_bernoulli_count_within_binomial_bounds():
     # one step on 12000 cells at p = 1/6: count within 5 sigma of 2000
     flips = rng.bernoulli_matrix(9, np.array([0]), 1, 12000, 1 / 6)
-    count = int(flips.sum())
+    count = int(packed.popcount(flips)[0])
     sigma = np.sqrt(12000 * (1 / 6) * (5 / 6))
     assert abs(count - 2000) < 5 * sigma
+
+
+def test_bernoulli_matrix_never_holds_a_boolean_matrix():
+    # One step of 4,000 trials on 256 cells: the boolean matrix of its draws
+    # alone would take 4,000 x 256 bytes.
+    trials = np.arange(4000)
+    tracemalloc.start()
+    try:
+        rng.bernoulli_matrix(7, trials, 1, 256, 1 / 20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4000 * 256

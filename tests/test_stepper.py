@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcadc import ca, circuits, qsim
+from qcadc import ca, circuits, packed, qsim
 from qcadc.circuits import (ExactBlockSum, NoiseModel, QcaStepper, build_step, trajectory_rng,
                             two_term_outcome)
 from qcadc.experiments import qca_flip_times
@@ -200,7 +200,7 @@ def _oracle_flip_time(scheme, n, p, phi, seed, trial, max_steps):
     register, regmap = _dense_register(n, phi), LogicalRegisterMap.initial(n)
     noise, reset_rng = NoiseModel("incoherent", p), np.random.default_rng(0)
     for t in range(1, max_steps + 1):
-        flips = bernoulli_matrix(seed, np.array([trial]), t, n, p)[0]
+        flips = packed.unpack_bits(bernoulli_matrix(seed, np.array([trial]), t, n, p), n)[0]
         _, zsum = _oracle_step(scheme, n, register, regmap, noise, reset_rng, flips)
         regmap = regmap.swapped()
         if zsum < 0.0:
@@ -231,7 +231,7 @@ def _classical_flip_time(scheme, n, p, seed, trial, max_steps):
     hashed flip row, then the plain-array rule and a strict-majority test."""
     cells = np.zeros(n, dtype=np.uint8)
     for t in range(1, max_steps + 1):
-        cells ^= bernoulli_matrix(seed, np.array([trial]), t, n, p)[0].astype(np.uint8)
+        cells ^= packed.unpack_bits(bernoulli_matrix(seed, np.array([trial]), t, n, p), n)[0]
         cells = step_tlv(cells) if scheme == "tlv" else step_elementary(cells, 232)
         if 2 * int(cells.sum()) > n:
             return t
