@@ -3,7 +3,9 @@
 Elementary nearest-neighbor rules on a periodic ring, the local majority
 vote (rule 232), Toom-style two-line voting on a pair of coupled strings,
 i.i.d. bit-flip noise, noisy orbits, flip-time Monte Carlo, island-growth
-enumeration and noiseless erosion analysis.
+enumeration and noiseless erosion analysis.  ``flip_times`` is the one
+flip-time loop: the classical Monte Carlo and the quantum trajectories of
+``experiments.qca_flip_times`` both run through it.
 
 Every step runs on the bit-packed kernels in :mod:`qcadc.packed`, chosen
 by ``_rule_step``, with counter-based noise from :mod:`qcadc.rng`, so a
@@ -129,35 +131,47 @@ class FlipTimeStats:
         return self.samples + self.max_steps_hit
 
 
-def _batch_flip_times(n: int, rule: RuleKind, p: float, seed: int,
-                      trial_indices: np.ndarray, max_steps: int) -> np.ndarray:
-    """Flip step per trial (first step whose post-update majority is 1), -1 if censored.
+def flip_times(trial_indices: np.ndarray, max_steps: int, rows,
+               step: Callable[[object, np.ndarray, int], tuple[object, np.ndarray]]) -> np.ndarray:
+    """Flip step per trial, -1 if censored: the loop every engine's trials run through.
 
-    Rows of the still-running trials ``live`` are compacted as trials flip, so
-    each step hashes flips for exactly those.
+    ``rows`` is an array of one row per trial, in the order of ``trial_indices``.
+    ``step(rows, live, t)`` takes the rows of the still-running trials, whose
+    indices are ``live``, through step t and returns the stepped rows and one
+    flip verdict per row.  A trial that flipped at step t gets t and its row
+    is dropped, so each step touches exactly the live trials.
     """
     if max_steps <= 0:
         raise ValueError("max_steps must be positive")
-    step = _rule_step(rule, n, p)
     trials = np.asarray(trial_indices, dtype=np.int64)
-    rng.check_seed(seed, int(trials.min(initial=0)))
     result = np.full(trials.shape, -1, dtype=np.int64)
     active = np.arange(trials.size)  # positions in ``trials`` of the running trials
     live = trials                    # their trial indices
-    rows = packed.zeros(trials.size, n)
-
-    need = n // 2  # strict majority means ones > n/2
     for t in range(1, max_steps + 1):
         if active.size == 0:
             break
-        rows ^= rng.bernoulli_matrix(seed, live, t, n, p)
-        rows = step(rows)
-        flipped = packed.popcount(rows) > need
+        rows, flipped = step(rows, live, t)
         if flipped.any():
             result[active[flipped]] = t
             keep = ~flipped
             active, live, rows = active[keep], live[keep], rows[keep]
     return result
+
+
+def _batch_flip_times(n: int, rule: RuleKind, p: float, seed: int,
+                      trial_indices: np.ndarray, max_steps: int) -> np.ndarray:
+    """``flip_times`` of the classical engine: packed rows from all-0, each step the
+    trials' hashed noise, then the rule; flipped when the post-update majority is 1."""
+    kernel = _rule_step(rule, n, p)
+    trials = np.asarray(trial_indices, dtype=np.int64)
+    rng.check_seed(seed, int(trials.min(initial=0)))
+    need = n // 2  # strict majority means ones > n/2
+
+    def step(rows: np.ndarray, live: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
+        rows ^= rng.bernoulli_matrix(seed, live, t, n, p)
+        rows = kernel(rows)
+        return rows, packed.popcount(rows) > need
+    return flip_times(trials, max_steps, packed.zeros(trials.size, n), step)
 
 
 def flip_time_trial(n: int, rule: RuleKind, p: float, seed: int,

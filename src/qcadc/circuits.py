@@ -1,5 +1,5 @@
 """Quantum-circuit construction for the quantized voting rules and the
-noisy trajectory loop.
+stepper that takes a noisy trajectory through one update.
 
 One update step on n cells uses 2n qubits: the now register holds the
 logical state, the future register starts in all-0, three Toffolis per
@@ -320,12 +320,15 @@ class ExactBlockSum:
 
 
 # ---------------------------------------------------------------------------
-# Trajectory loop
+# Trajectory stepper
 # ---------------------------------------------------------------------------
 
 # Peak bytes per now-register basis state of building a coherent or noiseless
 # QcaStepper and taking a step (tracemalloc: 329 and 370 at n = 16 and 18).
 STEPPER_BYTES_PER_STATE = 384
+# Bytes a live trajectory holds besides its state's amplitudes or indices: its
+# Generator and the state's objects (tracemalloc: ~1,100 at n = 8 and 12).
+TRAJECTORY_BYTES = 1536
 # Bytes per n^2 of building a depolarizing QcaStepper, whose 4n gate masks are
 # ints of up to 2n bits: tracemalloc read 1.52 and 1.33 at n = 4096 and 8192,
 # falling as the masks outgrow the O(n) gate list.
@@ -335,9 +338,14 @@ STEPPER_BYTES_BUDGET = 2 << 30
 
 class QcaStepper:
     """Owns one scheme's step circuit under one noise model, builds only what
-    that model's steps read, and drives trajectories on it.  Incoherent
-    trajectories are exact CA runs (``experiments.qca_flip_times``), so it
+    that model's steps read, and takes one trajectory's state through one
+    step; ``experiments.qca_flip_times`` runs the trajectories through
+    ``ca.flip_times``.  Incoherent trajectories are exact CA runs there, so it
     refuses them.
+
+    The tables and the live trajectories share ``STEPPER_BYTES_BUDGET``: a
+    flip-time run steps its trajectories in groups of ``group_size``, at
+    least one, whose states and streams fit next to the tables.
 
     Coherent and noiseless steps hold the n now qubits: the future register
     is all-0 between steps, and the Toffoli/CNOT block maps |b>|0> to
@@ -372,6 +380,9 @@ class QcaStepper:
         if need > STEPPER_BYTES_BUDGET:
             raise ValueError(f"a stepper on n = {n} cells needs ~{need:,} bytes, "
                              f"over the {STEPPER_BYTES_BUDGET:,}-byte budget")
+        # A register's two indices of up to 2n bits, or 2^n complex amplitudes.
+        per_trajectory = TRAJECTORY_BYTES + (n // 2 if self._depolarizing else 16 << n)
+        self.group_size = max(1, (STEPPER_BYTES_BUDGET - need) // per_trajectory)
         circuit = build_step(scheme, n)
         if self._depolarizing:
             self._p = noise.p
@@ -472,15 +483,6 @@ class QcaStepper:
         register.index = [index[j] >> n for j in keep]
         return float((mags ** 2) @ np.array([n - 2.0 * i.bit_count() for i in register.index]))
 
-    def run_trajectory(self, phi: float, max_steps: int,
-                       rng: np.random.Generator) -> int | None:
-        """First step t with sum_i <Z_i> < 0 on the post-step now register."""
-        state = self.initial_state(phi)
-        for t in range(1, max_steps + 1):
-            if self.step_with_zsum(state, t, rng) < 0.0:
-                return t
-        return None
-
 
 def two_term_outcome(bins: list[int], weights: list[float], draw) -> tuple[int, float]:
     """The bin ``Generator.choice`` draws from one or two weighted terms, and its weight.
@@ -507,13 +509,3 @@ def two_term_outcome(bins: list[int], weights: list[float], draw) -> tuple[int, 
 def trajectory_rng(seed: int, trial_index: int) -> np.random.Generator:
     check_seed(seed, trial_index)
     return default_rng(SeedSequence(entropy=seed, spawn_key=(trial_index,)))
-
-
-def noiseless_preservation(scheme: str, n: int, phi: float, steps: int) -> tuple[float, bool]:
-    """(final logical fidelity, whether a flip was ever signalled) without noise."""
-    stepper = QcaStepper(scheme, n, NoiseModel("none"))
-    rng = default_rng(0)  # reset outcomes are deterministic here
-    state = stepper.initial_state(phi)
-    flipped = any([stepper.step_with_zsum(state, t, rng) < 0.0 for t in range(1, steps + 1)])
-    overlap = math.cos(phi) * state.amps[0] - 1j * math.sin(phi) * state.amps[-1]
-    return abs(overlap), flipped

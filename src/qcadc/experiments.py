@@ -12,6 +12,7 @@ p, so a bad grid is refused before any point runs.
 noiseless trajectory k is trial k of the classical flip-time Monte Carlo
 at the same seed, on the same counter-hash noise; coherent and
 depolarizing runs step the quantum state on one RNG stream per trajectory.
+Both reach their flip times through ``ca.flip_times``.
 """
 from __future__ import annotations
 
@@ -129,12 +130,16 @@ def qca_flip_times(scheme: str, n: int, p: float, noise_kind: str, trials: int,
     incoherent and noiseless (p = 0) trajectory k is trial k of the flip-time
     Monte Carlo at ``seed``.  Coherent and depolarizing trajectory k steps the
     quantum state on ``trajectory_rng(seed, k)`` from the logical angle ``phi``
-    or the stream's first draw.
+    or the stream's first draw, until sum<Z> < 0.  Those trajectories run
+    through ``ca.flip_times`` too, interleaved step by step in groups of the
+    stepper's ``group_size``; each draws only from its own stream, so the
+    interleaving changes no draw.
     """
-    if max_steps <= 0:
+    if max_steps <= 0:  # before a stepper builds its tables
         raise ValueError("max_steps must be positive")
     if trials < 0:
         raise ValueError(f"the trajectory count must be non-negative, got {trials}")
+    check_seed(seed)
     if phi is not None and not abs(phi) < math.pi / 4:
         raise ValueError("the logical angle must satisfy |phi| < pi/4")
     if scheme not in ("232", "tlv"):
@@ -146,12 +151,24 @@ def qca_flip_times(scheme: str, n: int, p: float, noise_kind: str, trials: int,
                                     noise.p if noise.kind == "incoherent" else 0.0,
                                     seed, np.arange(trials), max_steps)
     stepper = QcaStepper("q232" if scheme == "232" else "qtlv", n, noise)
+
+    def start(group: np.ndarray) -> np.ndarray:
+        """One row per trajectory: its state and its stream, whose first draw is phi."""
+        rows = np.empty((group.size, 2), dtype=object)
+        for row, k in zip(rows, group.tolist()):
+            rng = trajectory_rng(seed, k)
+            angle = rng.uniform(-math.pi / 4, math.pi / 4) if phi is None else phi
+            row[:] = stepper.initial_state(angle), rng
+        return rows
+
+    def step(rows: np.ndarray, live: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
+        zsums = [stepper.step_with_zsum(state, t, rng) for state, rng in rows]
+        return rows, np.array(zsums) < 0.0
+
     times = np.empty(trials, dtype=np.int64)
-    for k in range(trials):
-        rng = trajectory_rng(seed, k)
-        angle = rng.uniform(-math.pi / 4, math.pi / 4) if phi is None else phi
-        t = stepper.run_trajectory(angle, max_steps, rng)
-        times[k] = -1 if t is None else t
+    for first in range(0, trials, stepper.group_size):
+        group = np.arange(first, min(first + stepper.group_size, trials))
+        times[group] = ca.flip_times(group, max_steps, start(group), step)
     return times
 
 
@@ -202,6 +219,8 @@ def compare_backends(row_a: CampaignRow, row_b: CampaignRow) -> Comparison:
     """Two-sample z test on the means; passes when |z| < Z_THRESHOLD."""
     if row_a.mean is None or row_b.mean is None:
         raise ValueError("cannot compare failed campaign rows")
+    if math.isnan(row_a.mean) or math.isnan(row_b.mean):
+        raise ValueError("cannot compare a row with no observed flip")
     spread = math.hypot(row_a.stderr, row_b.stderr)
     if spread == 0.0:
         same = row_a.mean == row_b.mean

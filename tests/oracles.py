@@ -426,3 +426,16 @@ def depolarizing_flip_time(circuit, p: float, phi: float, max_steps: int,
             return t
         regmap = regmap.swapped()
     return -1
+
+
+def noiseless_preservation(scheme: str, n: int, phi: float, steps: int) -> tuple[float, bool]:
+    """(final logical fidelity, whether a flip was ever signalled) of ``steps`` noiseless
+    ``QcaStepper`` steps from cos(phi)|0..0> + i sin(phi)|1..1>."""
+    from qcadc.circuits import NoiseModel, QcaStepper
+
+    stepper = QcaStepper(scheme, n, NoiseModel("none"))
+    rng = np.random.default_rng(0)  # reset outcomes are deterministic here
+    state = stepper.initial_state(phi)
+    flipped = any([stepper.step_with_zsum(state, t, rng) < 0.0 for t in range(1, steps + 1)])
+    overlap = math.cos(phi) * state.amps[0] - 1j * math.sin(phi) * state.amps[-1]
+    return abs(overlap), flipped

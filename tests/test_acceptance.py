@@ -16,7 +16,7 @@ import pytest
 
 from qcadc import ca, voting
 from qcadc import heisenberg as hz
-from qcadc.circuits import build_step, noiseless_preservation
+from qcadc.circuits import build_step
 from qcadc.experiments import (CampaignConfig, compare_backends, evaluate_fit,
                                run_campaign)
 from qcadc.qsim import StateVector, apply_gate
@@ -24,7 +24,8 @@ from qcadc.reversible import extend_rule, is_involution, is_permutation, is_self
 from qcadc.ca import rule_from_wolfram
 from oracles import (cnot_matrix, depolarizing_channel, enumerate_logical_flip,
                      exact_flip_law, expectation, geometric_mean_mc, kicked_moments,
-                     pauli_string_op, step_elementary, step_tlv, toffoli_matrix)
+                     noiseless_preservation, pauli_string_op, step_elementary, step_tlv,
+                     toffoli_matrix)
 
 pytestmark = pytest.mark.acceptance
 

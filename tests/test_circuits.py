@@ -8,11 +8,11 @@ from qcadc import ca
 from qcadc.circuits import (Circuit, NoiseModel, QcaStepper,
                             build_step,
                             basis_action, circuit_to_text,
-                            decompose_toffoli, noiseless_preservation,
+                            decompose_toffoli,
                             trajectory_rng, _toffoli_network)
 from qcadc.experiments import qca_flip_times
 from qcadc.qsim import Gate, StateVector, apply_gate, expectation_z_sum
-from oracles import step_elementary, step_tlv, toffoli_matrix
+from oracles import noiseless_preservation, step_elementary, step_tlv, toffoli_matrix
 
 
 def all_basis_rows(n):

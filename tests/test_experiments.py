@@ -154,3 +154,13 @@ def test_compare_backends():
         compare_backends(
             CampaignRow("tlv", "ca", "bitflip", 8, 0.1, 0, 10, None, None, None, None),
             row(1.0, 0.1))
+
+
+def test_compare_backends_refuses_rows_without_an_observed_flip():
+    # p = 0 never flips: every trial is censored, so the row's mean and stderr are NaN.
+    censored = experiments.point_row("ca", "tlv", "bitflip", 12, 0.0, 5, 1, 10)
+    assert censored.censored == 5 and math.isnan(censored.mean)
+    observed = CampaignRow("tlv", "ca", "bitflip", 12, 0.1, 0, 10, 0, 5.0, 1.0, 0.3)
+    for pair in ((censored, censored), (censored, observed), (observed, censored)):
+        with pytest.raises(ValueError, match="no observed flip"):
+            compare_backends(*pair)

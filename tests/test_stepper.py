@@ -5,6 +5,7 @@ classical flip-time Monte Carlo, with a plain-int register as the
 reference for wide depolarizing runs."""
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -260,6 +261,8 @@ def test_zero_trajectories_take_no_steps_and_fewer_are_refused():
         assert qca_flip_times("tlv", 6, 0.1, noise, 0, seed=0, max_steps=10**12).size == 0
         with pytest.raises(ValueError, match="trajectory count must be non-negative, got -1"):
             qca_flip_times("tlv", 6, 0.1, noise, -1, seed=0, max_steps=5)
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            qca_flip_times("232", 8, 0.1, noise, 0, seed=-1, max_steps=10)
 
 
 def test_stepper_refuses_incoherent_steps():
@@ -281,6 +284,66 @@ def test_depolarizing_stepper_refuses_n_over_its_estimate_before_building(monkey
     assert circuits.DEPOLARIZING_BYTES_PER_CELL_SQUARED * n * n > circuits.STEPPER_BYTES_BUDGET
     with pytest.raises(ValueError, match=f"n = {n} cells needs ~[0-9,]+ bytes"):
         QcaStepper("qtlv", n, NoiseModel("depolarizing", 0.1))
+
+
+# (scheme, n, p, noise, trajectories, seed, max_steps): runs with both flipped and
+# censored trajectories.
+LOOP_RUNS = [("tlv", 6, 0.15, "coherent", 12, 4, 30), ("232", 6, 0.1, "depolarizing", 20, 3, 15)]
+
+
+@pytest.mark.parametrize("scheme, n, p, noise, trials, seed, max_steps", LOOP_RUNS,
+                         ids=["coherent", "depolarizing"])
+def test_each_live_trajectory_is_stepped_once_per_step(monkeypatch, scheme, n, p, noise,
+                                                       trials, seed, max_steps):
+    steps = []
+    step_with_zsum = QcaStepper.step_with_zsum
+
+    def counted(self, state, t, rng):
+        steps.append(t)
+        return step_with_zsum(self, state, t, rng)
+    monkeypatch.setattr(QcaStepper, "step_with_zsum", counted)
+    times = qca_flip_times(scheme, n, p, noise, trials, seed, max_steps).tolist()
+    assert min(times) == -1 and max(times) > 0
+    assert len(steps) == sum(t if t > 0 else max_steps for t in times)
+    # Step t takes exactly the trajectories that had not flipped before it.
+    for t in range(1, max_steps + 1):
+        assert steps.count(t) == sum(1 for time in times if time < 0 or time >= t)
+
+
+def _budget_for_group(n, noise, group):
+    """A budget that leaves a stepper's tables room for exactly ``group`` trajectories."""
+    if noise == "depolarizing":
+        tables, state = circuits.DEPOLARIZING_BYTES_PER_CELL_SQUARED * n * n, n // 2
+    else:
+        tables, state = circuits.STEPPER_BYTES_PER_STATE << n, 16 << n
+    return tables + group * (circuits.TRAJECTORY_BYTES + state)
+
+
+@pytest.mark.parametrize("scheme, n, p, noise, trials, seed, max_steps", LOOP_RUNS,
+                         ids=["coherent", "depolarizing"])
+def test_trajectory_groups_leave_flip_times_unchanged(monkeypatch, scheme, n, p, noise,
+                                                      trials, seed, max_steps):
+    assert QcaStepper("q" + scheme, n, NoiseModel(noise, p)).group_size >= trials
+    whole = qca_flip_times(scheme, n, p, noise, trials, seed, max_steps).tolist()
+    for group in (1, 3):
+        monkeypatch.setattr(circuits, "STEPPER_BYTES_BUDGET", _budget_for_group(n, noise, group))
+        assert QcaStepper("q" + scheme, n, NoiseModel(noise, p)).group_size == group
+        assert qca_flip_times(scheme, n, p, noise, trials, seed, max_steps).tolist() == whole
+
+
+def test_tables_and_live_trajectories_stay_within_the_budget(monkeypatch):
+    # Coherent QTLV at n = 12 holds 64 KiB per state; 40 trajectories in one group
+    # would hold 2.6 MB next to the tables.
+    budget = _budget_for_group(12, "coherent", 4)
+    monkeypatch.setattr(circuits, "STEPPER_BYTES_BUDGET", budget)
+    tracemalloc.start()
+    try:
+        times = qca_flip_times("tlv", 12, 11 / 72, "coherent", 40, seed=5, max_steps=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (times > 0).any()
+    assert peak <= budget, f"traced peak {peak:,} bytes over the {budget:,}-byte budget"
 
 
 @pytest.mark.parametrize("n", [3, 7, 2, 0])
